@@ -26,6 +26,12 @@
 #          pinned static4 and mobile scenarios (step_into) and a faulted
 #          2-AP handoff+relay scenario (step_multi_into) must perform
 #          zero heap allocations per frame (DESIGN.md Sec. 4g).
+# Stage 4: rebuild under ThreadSanitizer (W4K_SANITIZE=thread) and run the
+#          suites whose code runs on the shared ThreadPool's workers: the
+#          pool itself and the arena (foundation), the banded decoder and
+#          the banded SSIM/PSNR with its per-band block scratch (video),
+#          and the metrics registry under pool contention plus a traced
+#          session (obs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,3 +76,10 @@ cmake --build build-alloc -j"$jobs" \
 # The daemon's steady-state fan-out (encode -> publish -> sendmmsg ->
 # release) must also be allocation-free per frame (DESIGN.md Sec. 4j).
 ./build-alloc/tests/tests_serve --gtest_filter='ServeAllocGate.*'
+
+cmake -B build-tsan -S . -DW4K_SANITIZE=thread
+cmake --build build-tsan -j"$jobs" \
+      --target tests_foundation tests_video tests_obs
+./build-tsan/tests/tests_foundation
+./build-tsan/tests/tests_video
+./build-tsan/tests/tests_obs

@@ -134,6 +134,12 @@ struct ThreadPool::Impl {
 ThreadPool::ThreadPool(std::size_t threads)
     : impl_(std::make_unique<Impl>()),
       size_(threads > 0 ? threads : default_pool_size()) {
+  // Each worker can straggle inside at most one retired job, so one job
+  // per execution context covers a caller's worst case and acquire_job
+  // never allocates in the steady state, however late workers wake.
+  impl_->jobs.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i)
+    impl_->jobs.push_back(std::make_unique<Impl::Job>());
   impl_->workers.reserve(size_ - 1);
   for (std::size_t i = 0; i + 1 < size_; ++i)
     impl_->workers.emplace_back([impl = impl_.get()] { impl->worker_loop(); });

@@ -1,5 +1,7 @@
 #include "core/frame_context.h"
 
+#include "obs/span.h"
+
 #include <algorithm>
 
 namespace w4k::core {
@@ -27,8 +29,7 @@ FrameContext make_frame_context(video::Frame frame,
     ctx.content.layer_bytes[u.id.layer] +=
         static_cast<double>(u.k_symbols * symbol_size);
   ctx.content.blank_ssim = f.blank;
-  ctx.blank_psnr = quality::psnr(
-      frame, video::Frame::blank(frame.width(), frame.height()));
+  ctx.blank_psnr = f.blank_psnr;
   if (previous != nullptr)
     ctx.prev_frame_ssim = quality::ssim(frame, *previous);
   ctx.original = std::move(frame);
@@ -50,10 +51,9 @@ std::vector<FrameContext> make_contexts(const video::SyntheticVideo& clip,
   return out;
 }
 
-void reconstruct_from_units_into(const FrameContext& ctx,
-                                 const std::vector<bool>& unit_decoded,
-                                 video::ReconstructWorkspace& ws,
-                                 video::Frame& out) {
+void splice_units(const FrameContext& ctx,
+                  const std::vector<bool>& unit_decoded,
+                  video::ReconstructWorkspace& ws) {
   ws.begin(ctx.encoded.width, ctx.encoded.height);
   for (std::size_t i = 0; i < ctx.units.size() && i < unit_decoded.size();
        ++i) {
@@ -64,15 +64,68 @@ void reconstruct_from_units_into(const FrameContext& ctx,
     ws.write(u.id.layer, u.sublayer_k, u.offset, src.data() + u.offset,
              u.source_bytes);
   }
-  ws.finish(out);
 }
 
 video::Frame reconstruct_from_units(const FrameContext& ctx,
                                     const std::vector<bool>& unit_decoded) {
   video::ReconstructWorkspace ws;
+  splice_units(ctx, unit_decoded, ws);
   video::Frame out;
-  reconstruct_from_units_into(ctx, unit_decoded, ws, out);
+  ws.finish(out);
   return out;
+}
+
+EvalCounts evaluate_users(const FrameContext& ctx,
+                          const std::vector<std::vector<bool>>& decoded,
+                          const std::vector<std::uint8_t>& present,
+                          EvalScratch& scratch, std::vector<double>& ssim,
+                          std::vector<double>& psnr,
+                          std::vector<double>& decoded_fraction) {
+  static obs::Stage& st_rec = obs::stage("session.quality.reconstruct");
+  static obs::Stage& st_score = obs::stage("session.quality.score");
+  const std::size_t n_users = decoded.size();
+  const auto is_present = [&](std::size_t u) {
+    return present.empty() || present[u] != 0;
+  };
+  ssim.assign(n_users, 0.0);
+  psnr.assign(n_users, 0.0);
+  decoded_fraction.assign(n_users, 0.0);
+  EvalCounts counts;
+  for (std::size_t u = 0; u < n_users; ++u) {
+    if (!is_present(u)) continue;
+    std::size_t n_decoded = 0;
+    for (bool b : decoded[u]) n_decoded += b ? 1 : 0;
+    decoded_fraction[u] =
+        ctx.units.empty() ? 0.0
+                          : static_cast<double>(n_decoded) /
+                                static_cast<double>(ctx.units.size());
+    if (n_decoded == 0) {
+      ssim[u] = ctx.content.blank_ssim;
+      psnr[u] = ctx.blank_psnr;
+      ++counts.reused;
+      continue;
+    }
+    std::size_t same = u;
+    for (std::size_t v = 0; v < u && same == u; ++v)
+      if (is_present(v) && decoded[v] == decoded[u]) same = v;
+    if (same < u) {
+      ssim[u] = ssim[same];
+      psnr[u] = psnr[same];
+      ++counts.reused;
+      continue;
+    }
+    {
+      obs::StageSpan span(st_rec);
+      splice_units(ctx, decoded[u], scratch.recon);
+      scratch.recon.finish_luma(scratch.y);
+    }
+    obs::StageSpan span(st_score);
+    const quality::Score q = quality::score(ctx.original.y, scratch.y);
+    ssim[u] = q.ssim;
+    psnr[u] = q.psnr;
+    ++counts.scored;
+  }
+  return counts;
 }
 
 double rate_scale_for(int width, int height) {

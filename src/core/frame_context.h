@@ -1,7 +1,7 @@
 // Pre-computed per-frame state shared by the sender and the evaluation
 // harness: the layered encoding, the quality-model content features, and
 // the coding-unit layout. Building a context is the expensive part of a
-// streaming step (encode + four reconstructions + five SSIMs), so sessions
+// streaming step (encode + five luma reconstructions and scores), so sessions
 // cycle through a small pool of contexts instead of re-encoding every
 // simulated frame — the paper's clips are long, but their per-frame
 // content features vary slowly.
@@ -45,18 +45,46 @@ std::vector<FrameContext> make_contexts(const video::SyntheticVideo& clip,
                                         std::size_t symbol_size =
                                             fec::kDefaultSymbolSize);
 
+/// Splices every decoded unit's byte range of its sublayer from
+/// ctx.encoded into `ws`, starting from nothing received (it calls
+/// ws.begin()). Follow with ws.finish() or ws.finish_luma().
+void splice_units(const FrameContext& ctx,
+                  const std::vector<bool>& unit_decoded,
+                  video::ReconstructWorkspace& ws);
+
 /// Reconstructs the frame a user decoded: every decoded unit contributes
 /// its byte range of its sublayer.
 video::Frame reconstruct_from_units(const FrameContext& ctx,
                                     const std::vector<bool>& unit_decoded);
 
-/// Allocation-free variant: splices each decoded unit's byte range straight
-/// from ctx.encoded into the workspace (no PartialFrame / Segment copies)
-/// and decodes into `out`. Bit-identical to reconstruct_from_units().
-void reconstruct_from_units_into(const FrameContext& ctx,
-                                 const std::vector<bool>& unit_decoded,
-                                 video::ReconstructWorkspace& ws,
-                                 video::Frame& out);
+/// Reusable scratch of evaluate_users (capacity kept across frames).
+struct EvalScratch {
+  video::ReconstructWorkspace recon;
+  video::Plane y;  ///< the reconstruction's luma, all the metrics read
+};
+
+/// How evaluate_users obtained each present user's score.
+struct EvalCounts {
+  std::size_t scored = 0;  ///< reconstructed and scored
+  std::size_t reused = 0;  ///< copied from an equal set or the blank frame
+};
+
+/// Scores what each user decoded against ctx.original: ssim[u], psnr[u]
+/// (luma) and decoded_fraction[u] for every user u with a row in
+/// `decoded`. Users absent per `present` (empty = everyone present) score
+/// 0 on all three. The result equals reconstruct_from_units + quality::
+/// ssim/psnr per user, bit for bit, at a fraction of the cost:
+///   - users with an equal unit set (the common case within a multicast
+///     group) are reconstructed and scored once, the rest copy the score;
+///   - the empty set decodes to the blank frame, whose scores the context
+///     holds (content.blank_ssim, blank_psnr);
+///   - only the luma plane is reconstructed, in one pass with both scores.
+EvalCounts evaluate_users(const FrameContext& ctx,
+                          const std::vector<std::vector<bool>>& decoded,
+                          const std::vector<std::uint8_t>& present,
+                          EvalScratch& scratch, std::vector<double>& ssim,
+                          std::vector<double>& psnr,
+                          std::vector<double>& decoded_fraction);
 
 /// The rate-scale that maps Table 2 throughputs onto reduced-resolution
 /// frames: rates are multiplied by frame_bytes / bytes-of-a-4K-frame so

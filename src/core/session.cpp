@@ -605,6 +605,12 @@ void MulticastSession::step_into(
       out.ssim[u] = s;
       out.psnr[u] = p;
     }
+    // Every active user took the blank frame's scores: all reused.
+    if (obs::enabled()) {
+      static obs::Counter& c_reused =
+          obs::MetricsRegistry::global().counter("session.quality.reused");
+      c_reused.add(n_active);
+    }
     fill_presence();
     return;
   }
@@ -807,25 +813,13 @@ void MulticastSession::step_into(
 
   out.stats = tx_result_.stats;
   out.relayed_symbols = tx_result_.relayed_symbols;
+  EvalCounts eval_counts;
   {
     static obs::Stage& st = obs::stage("session.quality");
     obs::StageSpan span(st);
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) continue;  // departed: placeholder sample
-      reconstruct_from_units_into(ctx, tx_result_.user_decoded[u], recon_ws_,
-                                  recon_frame_);
-      out.ssim[u] = quality::ssim(ctx.original, recon_frame_);
-      out.psnr[u] = quality::psnr(ctx.original, recon_frame_);
-      std::size_t decoded = 0;
-      for (bool b : tx_result_.user_decoded[u]) decoded += b ? 1 : 0;
-      out.decoded_fraction[u] =
-          ctx.units.empty() ? 0.0
-                            : static_cast<double>(decoded) /
-                                  static_cast<double>(ctx.units.size());
-    }
+    eval_counts = evaluate_users(ctx, tx_result_.user_decoded,
+                                 faults.user_active, eval_scratch_, out.ssim,
+                                 out.psnr, out.decoded_fraction);
   }
   fill_presence();
 
@@ -844,7 +838,11 @@ void MulticastSession::step_into(
     static obs::Gauge& g_active = reg.gauge("session.active_users");
     static obs::Counter& c_relay_links = reg.counter("session.relay_links");
     static obs::Counter& c_relayed = reg.counter("session.relayed_symbols");
+    static obs::Counter& c_scored = reg.counter("session.quality.scored");
+    static obs::Counter& c_reused = reg.counter("session.quality.reused");
     c_relay_links.add(relays_.size());
+    c_scored.add(eval_counts.scored);
+    c_reused.add(eval_counts.reused);
     c_relayed.add(out.relayed_symbols);
     if (csi_held) c_held.add(1);
     if (out.shed_symbols > 0) {

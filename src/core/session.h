@@ -344,8 +344,7 @@ class MulticastSession {
   std::vector<emu::GroupTx> tx_pool_;
   emu::FrameTxResult tx_result_;          ///< engine result rows
   std::vector<std::uint8_t> attempted_;   ///< quarantine bookkeeping
-  video::ReconstructWorkspace recon_ws_;  ///< per-user reconstruction
-  video::Frame recon_frame_;
+  EvalScratch eval_scratch_;              ///< per-user evaluation
   Decision decision_;                     ///< adapt-mode decision storage
 
   // --- Fault-recovery state (all deterministic, no rng) -----------------

@@ -4,6 +4,12 @@
 #include <cmath>
 
 namespace w4k::model {
+namespace {
+
+/// A PSNR in dB normalized to ~[0, 1] like SSIM.
+double psnr_feature(double db) { return std::min(1.0, db / kPsnrScale); }
+
+}  // namespace
 
 void Features::to_input_into(Vec& x) const {
   x.clear();
@@ -52,7 +58,7 @@ Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
                               const video::Frame& dist) {
     return cfg.metric == TargetMetric::kSsim
                ? quality::ssim(ref, dist)
-               : std::min(1.0, quality::psnr(ref, dist) / kPsnrScale);
+               : psnr_feature(quality::psnr(ref, dist));
   };
 
   for (const auto& spec : specs) {
@@ -67,12 +73,9 @@ Dataset build_dataset(const std::vector<video::VideoSpec>& specs,
           quality::content_features(original, enc);
       if (cfg.metric == TargetMetric::kPsnr) {
         // PSNR-valued anchor features, per the paper's generalization.
-        content.blank = measure(
-            original, video::Frame::blank(enc.width, enc.height));
-        for (int l = 0; l < video::kNumLayers; ++l)
-          content.up_to_layer[static_cast<std::size_t>(l)] = measure(
-              original, video::reconstruct(
-                            video::PartialFrame::up_to_layer(enc, l)));
+        content.blank = psnr_feature(content.blank_psnr);
+        for (std::size_t l = 0; l < video::kNumLayers; ++l)
+          content.up_to_layer[l] = psnr_feature(content.up_to_layer_psnr[l]);
       }
 
       for (int i = 0; i < cfg.fractions_per_frame; ++i) {

@@ -13,8 +13,20 @@
 
 namespace w4k::quality {
 
+/// SSIM and PSNR of one plane pair, both from a single pass over the
+/// pixels.
+struct Score {
+  double ssim = 0.0;
+  double psnr = 0.0;
+};
+
+/// Mean SSIM and PSNR between two planes of identical dimensions; ssim()
+/// and psnr() below return its two fields.
+/// Throws std::invalid_argument on dimension mismatch or a plane smaller
+/// than one 8x8 window.
+Score score(const video::Plane& reference, const video::Plane& distorted);
+
 /// Mean SSIM between two luma planes of identical dimensions.
-/// Throws std::invalid_argument on dimension mismatch.
 double ssim(const video::Plane& reference, const video::Plane& distorted);
 
 /// Mean SSIM on the luma planes of two frames.
@@ -37,11 +49,14 @@ double ms_ssim(const video::Frame& reference, const video::Frame& distorted,
 
 /// The quality-model features of Sec. 2.3 that depend only on content:
 /// cumulative SSIM when everything up to layer i is received, and the SSIM
-/// of the blank (mid-gray) frame.
+/// of the blank (mid-gray) frame. The same references scored by PSNR come
+/// from the same passes.
 struct ContentFeatures {
   /// up_to[i]: SSIM of the reconstruction from layers 0..i complete.
   std::array<double, video::kNumLayers> up_to_layer{};
   double blank = 0.0;
+  std::array<double, video::kNumLayers> up_to_layer_psnr{};
+  double blank_psnr = 0.0;
 };
 
 /// Computes the content features for a frame given its encoding.

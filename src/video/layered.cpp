@@ -1,7 +1,10 @@
 #include "video/layered.h"
 
+#include "common/thread_pool.h"
+
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace w4k::video {
 namespace {
@@ -27,6 +30,10 @@ std::uint8_t quantize_diff(int d) {
 /// Recovers a difference from its byte representation.
 int dequantize_diff(std::uint8_t b) { return static_cast<int>(b) - 128; }
 
+/// Byte offset of one plane's slice inside each sublayer buffer:
+/// base[l][k] for sublayer k of layer l.
+using PlaneBase = std::array<std::array<std::size_t, 4>, kNumLayers>;
+
 /// Rounded integer mean of the s x s block at (bx*s, by*s).
 int block_mean(const Plane& p, int bx, int by, int s) {
   int sum = 0;
@@ -43,7 +50,7 @@ int block_mean(const Plane& p, int bx, int by, int s) {
 struct PlaneEncoder {
   const Plane& plane;
   EncodedFrame& out;
-  const std::array<std::array<std::size_t, 4>, kNumLayers>& base;
+  const PlaneBase& base;
 
   void run() const {
     const int w8 = plane.width / 8;
@@ -106,65 +113,11 @@ struct PlaneEncoder {
   }
 };
 
-/// Reconstructs one plane from assembled sublayer buffers (missing bytes
-/// already defaulted to "no information": 128).
-struct PlaneDecoder {
-  Plane& plane;
-  const std::array<std::vector<std::vector<std::uint8_t>>, kNumLayers>& bufs;
-  const std::array<std::array<std::size_t, 4>, kNumLayers>& base;
-  // Caller-provided mean-plane scratch (every element is written before it
-  // is read, so resize without zeroing is enough).
-  std::vector<int>& m4;
-  std::vector<int>& m2;
-
-  void run() const {
-    const int w8 = plane.width / 8;
-    const int h8 = plane.height / 8;
-    const int w4 = w8 * 2;
-    const int w2 = w8 * 4;
-    m4.resize(static_cast<std::size_t>(w4) * (h8 * 2));
-    m2.resize(static_cast<std::size_t>(w2) * (h8 * 4));
-
-    for (int by = 0; by < h8 * 2; ++by) {
-      for (int bx = 0; bx < w4; ++bx) {
-        const int parent =
-            bufs[0][0][base[0][0] + static_cast<std::size_t>(by / 2) * w8 +
-                       bx / 2];
-        const int k = (by % 2) * 2 + (bx % 2);
-        const int d = dequantize_diff(
-            bufs[1][k][base[1][k] + static_cast<std::size_t>(by / 2) * w8 +
-                       bx / 2]);
-        m4[static_cast<std::size_t>(by) * w4 + bx] = parent + d;
-      }
-    }
-    for (int by = 0; by < h8 * 4; ++by) {
-      for (int bx = 0; bx < w2; ++bx) {
-        const int parent = m4[static_cast<std::size_t>(by / 2) * w4 + bx / 2];
-        const int k = (by % 2) * 2 + (bx % 2);
-        const int d = dequantize_diff(
-            bufs[2][k][base[2][k] + static_cast<std::size_t>(by / 2) * w4 +
-                       bx / 2]);
-        m2[static_cast<std::size_t>(by) * w2 + bx] = parent + d;
-      }
-    }
-    for (int y = 0; y < plane.height; ++y) {
-      for (int x = 0; x < plane.width; ++x) {
-        const int parent = m2[static_cast<std::size_t>(y / 2) * w2 + x / 2];
-        const int k = (y % 2) * 2 + (x % 2);
-        const int d = dequantize_diff(
-            bufs[3][k][base[3][k] + static_cast<std::size_t>(y / 2) * w2 +
-                       x / 2]);
-        plane.at(x, y) = static_cast<std::uint8_t>(clamp_byte(parent + d));
-      }
-    }
-  }
-};
-
 /// Byte offsets of the Y/U/V plane slices inside each sublayer buffer.
 struct PlaneBases {
-  std::array<std::array<std::size_t, 4>, kNumLayers> y{};
-  std::array<std::array<std::size_t, 4>, kNumLayers> u{};
-  std::array<std::array<std::size_t, 4>, kNumLayers> v{};
+  PlaneBase y{};
+  PlaneBase u{};
+  PlaneBase v{};
 };
 
 PlaneBases plane_bases(int width, int height) {
@@ -285,28 +238,111 @@ void ReconstructWorkspace::write(int layer, int k, std::size_t offset,
 
 namespace {
 
-/// In-place plane (re)size; element values are left unspecified, which is
-/// fine for the decoder (it writes every pixel).
-void resize_plane(Plane& p, int w, int h) {
-  p.width = w;
-  p.height = h;
-  p.pix.resize(static_cast<std::size_t>(w) * static_cast<std::size_t>(h));
+using SublayerBufs =
+    std::array<std::vector<std::vector<std::uint8_t>>, kNumLayers>;
+
+// 8x8-block rows per parallel_for chunk, and 8x8 blocks per column tile
+// of a block row. Each block decodes from its own bytes only, so neither
+// split changes the output.
+constexpr std::size_t kDecodeBandBlockRows = 8;
+constexpr std::size_t kDecodeTileBlocks = 32;
+
+/// One level of the decode tree over `n` parents in a row: parent x gets
+/// children 2x and 2x+1 in row0 (sublayers 0 and 1) and in row1
+/// (sublayers 2 and 3), each the parent plus its sublayer's difference
+/// byte, which sits at the parent's index x. Means stay unclamped int16
+/// (within [-256, 509]); only pixels (Out = uint8_t) are clamped.
+template <typename In, typename Out>
+void expand(const In* parent, std::size_t n,
+            const std::array<const std::uint8_t*, 4>& d, Out* row0,
+            Out* row1) {
+  const auto child = [](int p, std::uint8_t b) {
+    if constexpr (std::is_same_v<Out, std::uint8_t>)
+      return static_cast<Out>(clamp_byte(p + dequantize_diff(b)));
+    else
+      return static_cast<Out>(p + dequantize_diff(b));
+  };
+  for (std::size_t x = 0; x < n; ++x) {
+    const int p = parent[x];
+    row0[2 * x] = child(p, d[0][x]);
+    row0[2 * x + 1] = child(p, d[1][x]);
+    row1[2 * x] = child(p, d[2][x]);
+    row1[2 * x + 1] = child(p, d[3][x]);
+  }
+}
+
+/// Byte pointers of the four sublayers of `layer` at element `i`.
+std::array<const std::uint8_t*, 4> sublayers_at(
+    const std::array<const std::uint8_t*, 4>& layer, std::size_t i) {
+  return {layer[0] + i, layer[1] + i, layer[2] + i, layer[3] + i};
+}
+
+/// Decodes one plane from assembled sublayer buffers (missing bytes
+/// already defaulted to "no information": 128): per 8x8 block, its layer-0
+/// mean plus the layer-1 difference of each 4x4 child, plus the layer-2
+/// difference of each 2x2 grandchild, plus the layer-3 difference of each
+/// pixel. A sublayer stores a child's byte at its parent's raster index,
+/// so each level expands a row of parents into two rows of children with
+/// no per-pixel index arithmetic.
+void decode_plane(Plane& plane, int width, int height,
+                  const SublayerBufs& bufs, const PlaneBase& base) {
+  plane.width = width;
+  plane.height = height;
+  // Every pixel is written below, so resize without clearing is enough.
+  plane.pix.resize(static_cast<std::size_t>(width) *
+                   static_cast<std::size_t>(height));
+  const std::size_t w8 = static_cast<std::size_t>(width / 8);
+  const std::size_t w4 = 2 * w8;
+  const std::size_t w2 = 4 * w8;
+  const std::size_t stride = static_cast<std::size_t>(width);
+  const std::uint8_t* l0 = bufs[0][0].data() + base[0][0];
+  std::array<const std::uint8_t*, 4> l1{}, l2{}, l3{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    l1[k] = bufs[1][k].data() + base[1][k];
+    l2[k] = bufs[2][k].data() + base[2][k];
+    l3[k] = bufs[3][k].data() + base[3][k];
+  }
+  std::uint8_t* pix = plane.pix.data();
+  ThreadPool::shared().parallel_for(
+      0, static_cast<std::size_t>(height / 8), kDecodeBandBlockRows,
+      [&](std::size_t by_begin, std::size_t by_end) {
+        std::int16_t m4[2][2 * kDecodeTileBlocks];
+        std::int16_t m2[4][4 * kDecodeTileBlocks];
+        for (std::size_t by8 = by_begin; by8 < by_end; ++by8) {
+          for (std::size_t x8 = 0; x8 < w8; x8 += kDecodeTileBlocks) {
+            const std::size_t n8 = std::min(kDecodeTileBlocks, w8 - x8);
+            const std::size_t i8 = by8 * w8 + x8;
+            expand(l0 + i8, n8, sublayers_at(l1, i8), m4[0], m4[1]);
+            for (std::size_t r = 0; r < 2; ++r) {
+              const std::size_t i4 = (2 * by8 + r) * w4 + 2 * x8;
+              expand(m4[r], 2 * n8, sublayers_at(l2, i4), m2[2 * r],
+                     m2[2 * r + 1]);
+            }
+            for (std::size_t r = 0; r < 4; ++r) {
+              const std::size_t i2 = (4 * by8 + r) * w2 + 4 * x8;
+              std::uint8_t* o = pix + (8 * by8 + 2 * r) * stride + 8 * x8;
+              expand(m2[r], 4 * n8, sublayers_at(l3, i2), o, o + stride);
+            }
+          }
+        }
+      });
 }
 
 }  // namespace
 
-void ReconstructWorkspace::finish(Frame& out) {
-  resize_plane(out.y, width_, height_);
-  resize_plane(out.u, width_ / 2, height_ / 2);
-  resize_plane(out.v, width_ / 2, height_ / 2);
+void ReconstructWorkspace::finish(Frame& out) const {
   const PlaneBases bases = plane_bases(width_, height_);
-  PlaneDecoder{out.y, bufs_, bases.y, m4_, m2_}.run();
-  PlaneDecoder{out.u, bufs_, bases.u, m4_, m2_}.run();
-  PlaneDecoder{out.v, bufs_, bases.v, m4_, m2_}.run();
+  decode_plane(out.y, width_, height_, bufs_, bases.y);
+  decode_plane(out.u, width_ / 2, height_ / 2, bufs_, bases.u);
+  decode_plane(out.v, width_ / 2, height_ / 2, bufs_, bases.v);
 }
 
-void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,
-                      Frame& out) {
+void ReconstructWorkspace::finish_luma(Plane& y) const {
+  decode_plane(y, width_, height_, bufs_, plane_bases(width_, height_).y);
+}
+
+Frame reconstruct(const PartialFrame& partial) {
+  ReconstructWorkspace ws;
   ws.begin(partial.width, partial.height);
   for (int l = 0; l < kNumLayers; ++l) {
     for (int k = 0; k < sublayer_count(l); ++k) {
@@ -316,13 +352,8 @@ void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,
       }
     }
   }
-  ws.finish(out);
-}
-
-Frame reconstruct(const PartialFrame& partial) {
-  ReconstructWorkspace ws;
   Frame out;
-  reconstruct_into(partial, ws, out);
+  ws.finish(out);
   return out;
 }
 

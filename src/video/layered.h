@@ -90,13 +90,17 @@ struct PartialFrame {
 EncodedFrame encode(const Frame& frame);
 
 /// Reusable scratch for the progressive decoder: owns the 13 assembled
-/// sublayer buffers plus the intermediate mean planes, all of which keep
-/// their capacity across frames. Usage per reconstruction:
+/// sublayer buffers, which keep their capacity across frames. Usage per
+/// reconstruction:
 ///   ws.begin(w, h);                 // buffers reset to "no information"
 ///   ws.write(l, k, offset, p, n);   // splice received byte ranges in
 ///   ws.finish(frame);               // decode into a reusable Frame
 /// One workspace serves any number of frames of any (bounded) size; the
 /// steady state performs zero heap allocations.
+///
+/// Every plane decodes in bands of 8x8-block rows on the shared
+/// ThreadPool: each 8x8 block depends only on its own bytes of the 13
+/// sublayers, so the output is identical for any pool size.
 class ReconstructWorkspace {
  public:
   /// Resets every sublayer buffer to the default byte 128 (mid-gray for
@@ -110,24 +114,22 @@ class ReconstructWorkspace {
 
   /// Decodes the assembled buffers into `out` (planes resized in place,
   /// capacity reused). Must follow a begin().
-  void finish(Frame& out);
+  void finish(Frame& out) const;
+
+  /// Decodes only the luma plane into `y`: the part SSIM and PSNR read.
+  /// Its bytes equal those finish() writes to out.y. Must follow a begin().
+  void finish_luma(Plane& y) const;
 
  private:
   int width_ = 0;
   int height_ = 0;
   std::array<std::vector<std::vector<std::uint8_t>>, kNumLayers> bufs_;
-  std::vector<int> m4_, m2_;  // decoder mean-plane scratch
 };
 
 /// Reconstructs a frame from whatever arrived. Missing layer-0 blocks
 /// render as mid-gray (the blank frame); missing difference bytes fall
 /// back to the coarser layer.
 Frame reconstruct(const PartialFrame& partial);
-
-/// Allocation-free variant: assembles `partial` into the workspace and
-/// decodes into `out`. Bit-identical to reconstruct().
-void reconstruct_into(const PartialFrame& partial, ReconstructWorkspace& ws,
-                      Frame& out);
 
 /// Convenience: decode from a complete EncodedFrame.
 Frame reconstruct_full(const EncodedFrame& enc);

@@ -7,6 +7,7 @@
 
 #include "core/pretrained.h"
 #include "core/runner.h"
+#include "fault/injector.h"
 #include "obs/jsonlite.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -182,6 +183,68 @@ TEST_F(TraceExportTest, EventsAreWellNestedPerThread) {
       stack.push_back(&e);
     }
   }
+}
+
+TEST_F(TraceExportTest, QualityCountersCoverEveryActiveUserPerFrame) {
+  // Every active user's score is either computed (scored) or copied from
+  // an equal decoded set or the blank frame (reused), so the two counters
+  // add up to the active users on every frame: with churn, and on an
+  // outage frame (all-zero CSI: nothing is schedulable).
+  Rng rng(5);
+  channel::PropagationConfig prop;
+  const auto chans = core::channels_for(
+      prop, core::place_users_fixed(4, 3.0, 1.047, rng));
+  std::vector<linalg::CVector> dark = chans;
+  for (auto& h : dark)
+    for (std::size_t n = 0; n < h.size(); ++n) h[n] = linalg::Complex(0, 0);
+  core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
+  core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+  auto& reg = MetricsRegistry::global();
+  Counter& scored = reg.counter("session.quality.scored");
+  Counter& reused = reg.counter("session.quality.reused");
+  core::FrameOutcome out;
+  std::uint64_t total_scored = 0, total_reused = 0;
+  for (int f = 0; f < 9; ++f) {
+    fault::FrameFaults faults;
+    std::size_t n_active = 4;
+    if (f % 3 == 1) {
+      faults.user_active = {1, 0, 1, 1};
+      n_active = 3;
+    }
+    const auto& ch = f == 5 ? dark : chans;
+    const std::uint64_t s0 = scored.value(), r0 = reused.value();
+    session.step_into(ch, ch, (*contexts_)[static_cast<std::size_t>(f) % 2],
+                      faults, out);
+    const std::uint64_t ds = scored.value() - s0, dr = reused.value() - r0;
+    EXPECT_EQ(ds + dr, n_active) << "frame " << f;
+    if (f == 5) {
+      EXPECT_EQ(ds, 0u);  // outage: everyone renders the blank frame
+      EXPECT_EQ(out.ssim[0], (*contexts_)[1].content.blank_ssim);
+    }
+    total_scored += ds;
+    total_reused += dr;
+  }
+  EXPECT_GT(total_scored, 0u);
+  EXPECT_GT(total_reused, 0u);  // co-grouped users share a decoded set
+
+  // The evaluation's child spans nest inside session.quality, so
+  // session.quality alone still reads the whole evaluation.
+  std::ostringstream os;
+  write_chrome_trace(os);
+  const auto events = parse_events(os.str());
+  std::size_t children = 0;
+  for (const auto& e : events) {
+    if (e.name != "session.quality.reconstruct" &&
+        e.name != "session.quality.score")
+      continue;
+    ++children;
+    bool nested = false;
+    for (const auto& p : events)
+      nested |= p.name == "session.quality" && p.tid == e.tid &&
+                p.ts <= e.ts && e.ts + e.dur <= p.ts + p.dur + 1e-3;
+    EXPECT_TRUE(nested) << e.name << " at " << e.ts;
+  }
+  EXPECT_EQ(children, 2 * total_scored);
 }
 
 TEST_F(TraceExportTest, ChromeTraceGoldenForSyntheticSpans) {
