@@ -1,16 +1,16 @@
-// Allocation A/B of the per-frame hot path (DESIGN.md Sec. 4g).
+// Allocation profile of the per-frame hot path (DESIGN.md Sec. 4g).
 //
-// Runs the pinned static 4-user scenario through both frame-path surfaces:
-//   wrapper    — step()/decide(), fresh FrameOutcome/Decision per call
-//                (the pre-arena "before" shape);
-//   workspace  — step_into()/decide_into(), every buffer reused
-//                (the zero-allocation "after" shape).
-// Reports heap allocations per frame (exact under a W4K_COUNT_ALLOCS
-// build, n/a otherwise) and the step/decide latency distribution of each
-// surface, written to BENCH_alloc.json for cross-commit comparison. The
-// workspace path's post-warmup allocation count is the number the tier-1
-// alloc gate pins to zero; this bench is the measurement twin that also
-// shows what the wrappers cost.
+// Runs the pinned static 4-user scenario through the frame path
+// (step_into / decide_into, one FrameOutcome and one Decision reused
+// across frames). Reports heap allocations per frame (exact under a
+// W4K_COUNT_ALLOCS build, n/a otherwise) and the step/decide latency
+// distribution, written to BENCH_alloc.json for cross-commit comparison.
+// The post-warmup allocation count is the number the tier-1 alloc gate
+// pins to zero; this bench is its measurement twin.
+//
+//   cmake -B build-alloc -S . -DW4K_COUNT_ALLOCS=ON
+//   cmake --build build-alloc --target bench_alloc
+//   ./build-alloc/bench/bench_alloc      # writes ./BENCH_alloc.json
 #include "common.h"
 
 #include "common/alloc_count.h"
@@ -46,12 +46,8 @@ double mean(const std::vector<double>& v) {
   return v.empty() ? 0.0 : s / static_cast<double>(v.size());
 }
 
-/// One full measurement of a frame-path surface. `use_workspace` selects
-/// step_into/decide_into vs the allocating wrappers; both run the same
-/// pinned scenario so the outputs are byte-identical and only the
-/// allocation/latency profile differs.
-PathStats measure_path(bool use_workspace,
-                       const std::vector<linalg::CVector>& channels,
+/// One full measurement of the frame path on the pinned scenario.
+PathStats measure_path(const std::vector<linalg::CVector>& channels,
                        const std::vector<core::FrameContext>& contexts) {
   core::SessionConfig cfg = core::SessionConfig::scaled(bench::kWidth,
                                                         bench::kHeight);
@@ -71,11 +67,7 @@ PathStats measure_path(bool use_workspace,
         contexts[static_cast<std::size_t>(f) % contexts.size()];
     const alloc_count::Scope scope;
     const auto t0 = std::chrono::steady_clock::now();
-    if (use_workspace) {
-      session.step_into(channels, channels, ctx, no_faults, outcome);
-    } else {
-      outcome = session.step(channels, channels, ctx);
-    }
+    session.step_into(channels, channels, ctx, no_faults, outcome);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -92,7 +84,7 @@ PathStats measure_path(bool use_workspace,
   }
   out.allocs_per_frame = total / static_cast<double>(allocs.size());
 
-  // decide()-only latency on a fresh session (its own warmup, so workspace
+  // decide_into-only latency on a fresh session (its own warmup, so workspace
   // sizing is not inherited from the frame loop above).
   core::MulticastSession dsession(cfg, bench::quality_model(),
                                   beamforming::Codebook{});
@@ -102,11 +94,7 @@ PathStats measure_path(bool use_workspace,
   decide_ms.reserve(kFrames);
   for (int f = 0; f < kWarmupFrames + kFrames; ++f) {
     const auto t0 = std::chrono::steady_clock::now();
-    if (use_workspace) {
-      dsession.decide_into(channels, contexts.front(), exclude, decision);
-    } else {
-      decision = dsession.decide(channels, contexts.front(), exclude);
-    }
+    dsession.decide_into(channels, contexts.front(), exclude, decision);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -134,9 +122,8 @@ void print_path(const char* label, const PathStats& s, bool counting) {
 int main() {
   bench::BenchMain bm("bench_alloc", /*telemetry=*/false);
   bench::print_header(
-      "Zero-allocation frame path: wrapper vs workspace surface",
-      "workspace path reaches 0 allocs/frame after warmup; wrappers pay "
-      "per-call heap traffic");
+      "Zero-allocation frame path: step_into / decide_into",
+      "the frame path reaches 0 allocs/frame after warmup");
 
   const bool counting = alloc_count::counting_available();
   bm.set("count_allocs_build", counting ? "on" : "off");
@@ -152,9 +139,7 @@ int main() {
       prop, core::place_users_fixed(4, 3.0, 1.047, rng));
   const auto& contexts = bench::hr_contexts();
 
-  const PathStats wrapper = measure_path(false, channels, contexts);
-  const PathStats workspace = measure_path(true, channels, contexts);
-  print_path("wrapper", wrapper, counting);
+  const PathStats workspace = measure_path(channels, contexts);
   print_path("workspace", workspace, counting);
 
   std::ofstream os("BENCH_alloc.json");
@@ -162,22 +147,18 @@ int main() {
      << "  \"counting_available\": " << (counting ? "true" : "false")
      << ",\n"
      << "  \"frames\": " << kFrames << ",\n"
-     << "  \"warmup_frames\": " << kWarmupFrames << ",\n";
-  const auto emit = [&os](const char* name, const PathStats& s,
-                          const char* tail) {
-    os << "  \"" << name << "\": {\"allocs_per_frame\": "
-       << s.allocs_per_frame << ", \"allocs_max\": " << s.allocs_max
-       << ", \"step_mean_ms\": " << s.step_mean_ms
-       << ", \"step_p99_ms\": " << s.step_p99_ms
-       << ", \"decide_p99_ms\": " << s.decide_p99_ms << "}" << tail << "\n";
-  };
-  emit("wrapper", wrapper, ",");
-  emit("workspace", workspace, "");
-  os << "}\n";
+     << "  \"warmup_frames\": " << kWarmupFrames << ",\n"
+     << "  \"workspace\": {\"allocs_per_frame\": "
+     << workspace.allocs_per_frame
+     << ", \"allocs_max\": " << workspace.allocs_max
+     << ", \"step_mean_ms\": " << workspace.step_mean_ms
+     << ", \"step_p99_ms\": " << workspace.step_p99_ms
+     << ", \"decide_p99_ms\": " << workspace.decide_p99_ms << "}\n"
+     << "}\n";
   os.close();
   std::printf("written: BENCH_alloc.json\n");
 
-  // Shape check: in a counting build the workspace path must be exactly
+  // Shape check: in a counting build the frame path must be exactly
   // allocation-free after warmup — the same contract the tier-1 gate pins.
   bool ok = true;
   if (counting) {

@@ -1,16 +1,17 @@
-// Scheduler scaling bench (the PR 5 fast path): wall-clock latency of
-// MulticastSession::decide() — group beamforming + Eq. 1 allocation +
+// Scheduler scaling bench: wall-clock latency of
+// MulticastSession::decide_into — group beamforming + Eq. 1 allocation +
 // Eq. 4 unit mapping — swept over user counts, static vs mobility CSI,
-// and fast path (beam cache + warm start) vs baseline (stateless
-// re-enumeration + cold multi-start every frame).
+// and fast path (warm start) vs baseline (cold multi-start every frame).
+// Both arms enumerate through the session's beam cache, which is always
+// on; the stateless enumeration it reproduces is sched::enumerate_groups.
 //
 // The paper's sender must make this decision inside the 33.3 ms frame
-// budget. The fast path exploits two structural facts: (a) each subset's
-// beam is a pure function of (scheme, member channels, codebook, seed), so
-// only subsets containing a user whose CSI changed since the last beacon
-// need re-beamforming; (b) consecutive frames' optimal allocations are
-// near each other, so the previous frame's plan (remapped by member
-// bitmask) warm-starts the optimizer past the cold multi-start.
+// budget. The beam cache exploits that each subset's beam is a pure
+// function of (scheme, member channels, codebook, seed), so only subsets
+// containing a user whose CSI changed since the last beacon need
+// re-beamforming. The fast path adds that consecutive frames' optimal
+// allocations are near each other, so the previous frame's plan (remapped
+// by member bitmask) warm-starts the optimizer past the cold multi-start.
 //
 // Past the hierarchical threshold (N=32/64 rows) the anytime scheduler
 // takes over: cluster-tree candidate generation, rate-bound pruning, the
@@ -21,7 +22,7 @@
 // N=12-mobility speedup headline). Rows whose baseline sweep is skipped
 // carry an explicit "baseline": "skipped" marker so downstream tooling
 // never mistakes absence for measurement. `--smoke` runs only the tier-1
-// gate: p99 decide() latency at N=32 mobile (deadline on) must stay under
+// gate: p99 decide latency at N=32 mobile (deadline on) must stay under
 // 16.6 ms (half the frame budget); set W4K_SKIP_PERF_SMOKE=1 to skip
 // (exit 77) on machines where wall-clock gates are meaningless (e.g.
 // heavily shared CI).
@@ -66,8 +67,8 @@ Latency summarize_ms(std::vector<double> ms) {
 struct MeasureSpec {
   std::size_t n_users = 4;
   bool mobile = false;
-  bool fast = true;   ///< beam cache + warm start on
-  int n_frames = 30;  ///< measured decide() calls
+  bool fast = true;   ///< warm start on
+  int n_frames = 30;  ///< measured decide_into calls
   /// Cold-start frames excluded from the stats: the first beacon pays the
   /// one-off full enumeration that every later frame amortizes (a real
   /// session pays it once at association, not per frame).
@@ -115,7 +116,6 @@ Latency measure(const MeasureSpec& spec) {
       core::SessionConfig::scaled(bench::kWidth, bench::kHeight);
   cfg.seed = 4242;
   cfg.mcs_margin_db = 1.0;
-  cfg.beam_cache = spec.fast;
   cfg.warm_start = spec.fast;
   cfg.group_enum.max_group_size = spec.max_group_size;
   cfg.decide_deadline_ms = spec.deadline_ms;
@@ -125,12 +125,13 @@ Latency measure(const MeasureSpec& spec) {
   const std::vector<std::uint8_t> exclude(spec.n_users, 0);
   const auto per_frame = decision_csi(spec);
 
+  core::MulticastSession::Decision d;
   std::vector<double> ms;
   ms.reserve(static_cast<std::size_t>(spec.n_frames));
   for (std::size_t f = 0; f < per_frame.size(); ++f) {
     const auto& ctx = contexts[f % contexts.size()];
     const auto t0 = std::chrono::steady_clock::now();
-    const auto d = session.decide(per_frame[f], ctx, exclude);
+    session.decide_into(per_frame[f], ctx, exclude, d);
     const auto t1 = std::chrono::steady_clock::now();
     if (d.groups.empty()) {
       std::fprintf(stderr, "unexpected outage at frame %zu\n", f);
@@ -237,7 +238,7 @@ int main(int argc, char** argv) {
       Latency base;
       if (std::find(base_n.begin(), base_n.end(), n) != base_n.end()) {
         spec.fast = false;
-        spec.n_frames = 9;  // full re-enumeration per frame: keep it short
+        spec.n_frames = 9;  // cold multi-start every frame: keep it short
         base = measure(spec);
         have_base = true;
         std::snprintf(label, sizeof label, "N=%-2zu baseline", n);

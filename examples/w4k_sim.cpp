@@ -75,6 +75,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 namespace {
@@ -246,6 +247,7 @@ int main(int argc, char** argv) {
     core::MulticastSession session(cfg, quality, codebook);
 
     const std::string fault_arg = args.get("fault-plan", std::string{});
+    std::optional<fault::FaultInjector> injector;
     const auto stream_with_faults =
         [&](const fault::FaultPlan& plan, std::size_t run_users,
             std::uint32_t run_frames) {
@@ -256,7 +258,7 @@ int main(int argc, char** argv) {
               plan.feedback.size(), plan.csi.size(), plan.blockage.size(),
               plan.budget.size(), plan.churn.size(), plan.ap_outage.size(),
               plan.handoff_beacon.size(), plan.relay_churn.size(), run_frames);
-          return fault::FaultInjector(plan, run_users, n_aps);
+          return &injector.emplace(plan, run_users, n_aps);
         };
 
     core::SessionReport report;
@@ -304,7 +306,7 @@ int main(int argc, char** argv) {
         const auto plan = resolve_fault_plan(fault_arg, run_frames,
                                              trace.users(), 1, relay_on);
         report = core::run_trace(
-            session, trace, contexts,
+            session, trace, contexts, /*frames_per_snapshot=*/3,
             stream_with_faults(plan, trace.users(), run_frames));
       } else {
         report = core::run_trace(session, trace, contexts);

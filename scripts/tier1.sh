@@ -30,8 +30,10 @@
 #          suites whose code runs on the shared ThreadPool's workers: the
 #          pool itself and the arena (foundation), the banded decoder and
 #          the banded SSIM/PSNR with its per-band block scratch (video),
-#          and the metrics registry under pool contention plus a traced
-#          session (obs).
+#          the metrics registry under pool contention plus a traced
+#          session (obs), and the session-level purity suites that drive
+#          the whole staged frame path (beam cache, anytime decide,
+#          reused vs fresh outcomes) at pool sizes 1 and 4 (props).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,7 +81,11 @@ cmake --build build-alloc -j"$jobs" \
 
 cmake -B build-tsan -S . -DW4K_SANITIZE=thread
 cmake --build build-tsan -j"$jobs" \
-      --target tests_foundation tests_video tests_obs
+      --target tests_foundation tests_video tests_obs tests_props
 ./build-tsan/tests/tests_foundation
 ./build-tsan/tests/tests_video
 ./build-tsan/tests/tests_obs
+# Each of these suites switches the shared pool between 1 and 4 workers
+# itself; a small iteration count keeps the TSan run short.
+W4K_PROP_ITERS=10 ./build-tsan/tests/tests_props \
+    --gtest_filter='BeamCacheSessionTest.*:AnytimeSessionTest.*:ArenaEquivalenceTest.*'

@@ -64,7 +64,7 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
       const auto users = core::place_users_fixed(
           spec.n_users, spec.distance_m, spec.mas_rad, rng);
       return core::run_static(session, core::channels_for(prop, users), ctx,
-                              spec.frames(), injector);
+                              spec.frames(), &injector);
     }
     case CellKind::kMobile: {
       channel::MovingReceiverConfig mc;
@@ -76,7 +76,7 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
       mc.walk_speed = spec.walk_speed_mps;
       mc.seed = spec.placement_seed;
       return core::run_trace(session, channel::moving_receiver_trace(mc),
-                             ctx, injector);
+                             ctx, /*frames_per_snapshot=*/3, &injector);
     }
     case CellKind::kMultiAp: {
       const channel::MultiApGeometry geo = make_geometry(spec);
@@ -85,7 +85,7 @@ core::SessionReport stream_cell(const ScenarioSpec& spec,
           spec.n_users, spec.distance_m, spec.mas_rad, rng);
       return core::run_static_multi_ap(
           session, channel::ap_channel_stacks(geo, users), ctx,
-          spec.frames(), injector, channel::ap_user_azimuths(geo, users));
+          spec.frames(), &injector, channel::ap_user_azimuths(geo, users));
     }
   }
   throw std::logic_error("unreachable cell kind");

@@ -66,25 +66,26 @@ MulticastSession& Experiment::session() {
   return *session_;
 }
 
+const fault::FaultInjector* Experiment::injector(std::size_t n_users) {
+  injector_.reset();
+  // An empty plan streams the channels as given (no per-frame copies).
+  if (!fault_plan_.empty()) injector_.emplace(fault_plan_, n_users);
+  return injector_ ? &*injector_ : nullptr;
+}
+
 SessionReport Experiment::run_static(int n_frames) {
   if (channels_.empty())
     throw std::invalid_argument(
         "Experiment::run_static: no users placed (call place_fixed / "
         "place_random / channels first)");
-  if (fault_plan_.empty())
-    return core::run_static(session(), channels_, contexts_, n_frames);
-  const fault::FaultInjector injector(fault_plan_, channels_.size());
   return core::run_static(session(), channels_, contexts_, n_frames,
-                          injector);
+                          injector(channels_.size()));
 }
 
 SessionReport Experiment::run_trace(const channel::CsiTrace& trace,
                                     int frames_per_snapshot) {
-  if (fault_plan_.empty())
-    return core::run_trace(session(), trace, contexts_, frames_per_snapshot);
-  const fault::FaultInjector injector(fault_plan_, trace.users());
-  return core::run_trace(session(), trace, contexts_, injector,
-                         frames_per_snapshot);
+  return core::run_trace(session(), trace, contexts_, frames_per_snapshot,
+                         injector(trace.users()));
 }
 
 }  // namespace w4k::core

@@ -72,6 +72,10 @@ class Experiment {
                           int frames_per_snapshot = 3);
 
  private:
+  /// The injector for fault_plan_ validated against this run's user
+  /// count, or null when the plan is empty.
+  const fault::FaultInjector* injector(std::size_t n_users);
+
   model::QualityModel& quality_;
   std::vector<FrameContext> contexts_;
   channel::PropagationConfig prop_;
@@ -80,6 +84,7 @@ class Experiment {
   std::vector<channel::Position> users_;
   std::vector<linalg::CVector> channels_;
   fault::FaultPlan fault_plan_;
+  std::optional<fault::FaultInjector> injector_;
   std::optional<MulticastSession> session_;
 };
 

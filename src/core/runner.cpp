@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace w4k::core {
 
@@ -59,133 +61,97 @@ void channels_for_into(const channel::PropagationConfig& prop,
     out[i] = channel::make_channel(prop, users[i]);
 }
 
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
+namespace {
+
+using Channels = std::vector<linalg::CVector>;
+using Stacks = std::vector<Channels>;  // [ap][user]
+using Azimuths = std::vector<std::vector<double>>;
+
+/// The one frame loop behind every runner. `source(f)` names frame f's
+/// pristine (decision, truth) channels. Without an injector the session
+/// steps them directly; with one, the frame's faults are applied to copies
+/// that are hoisted out of the loop, so copy-assignment reuses their
+/// buffers instead of reallocating every frame.
+template <class Stack, class Source>
+SessionReport frame_loop(MulticastSession& session,
                          const std::vector<FrameContext>& contexts,
-                         int n_frames) {
-  if (contexts.empty())
-    throw std::invalid_argument("run_static: no frame contexts");
+                         int n_frames, const fault::FaultInjector* injector,
+                         Source source, const Azimuths& azimuths = {}) {
+  constexpr bool kMultiAp = std::is_same_v<Stack, Stacks>;
   SessionReport report;
-  const fault::FrameFaults no_faults;
   FrameOutcome outcome;
+  Stack decision_copy;
+  Stack truth_copy;
   for (int f = 0; f < n_frames; ++f) {
-    const FrameContext& ctx =
-        contexts[static_cast<std::size_t>(f) % contexts.size()];
-    session.step_into(channels, channels, ctx, no_faults, outcome);
+    const auto frame = static_cast<std::uint32_t>(f);
+    const FrameContext& ctx = contexts[frame % contexts.size()];
+    auto [decision, truth] = source(frame);
+    fault::FrameFaults faults;
+    if (injector != nullptr) {
+      faults = injector->at(frame);
+      decision_copy = *decision;
+      truth_copy = *truth;
+      if constexpr (kMultiAp)
+        injector->apply_aps(frame, decision_copy, truth_copy, azimuths);
+      else
+        injector->apply(frame, decision_copy, truth_copy);
+      decision = &decision_copy;
+      truth = &truth_copy;
+    }
+    if constexpr (kMultiAp)
+      session.step_multi_into(*decision, *truth, ctx, faults, outcome);
+    else
+      session.step_into(*decision, *truth, ctx, faults, outcome);
     report.add(outcome);
   }
   return report;
 }
 
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
+}  // namespace
+
+SessionReport run_static(MulticastSession& session, const Channels& channels,
                          const std::vector<FrameContext>& contexts,
-                         int n_frames, const fault::FaultInjector& injector) {
+                         int n_frames, const fault::FaultInjector* injector) {
   if (contexts.empty())
     throw std::invalid_argument("run_static: no frame contexts");
-  SessionReport report;
-  FrameOutcome outcome;
-  // Channel-level faults mutate per-frame copies; the placement itself
-  // stays pristine for the frames the burst does not cover. The copies are
-  // hoisted out of the loop: copy-assignment reuses each channel vector's
-  // buffer instead of reallocating every frame.
-  std::vector<linalg::CVector> decision;
-  std::vector<linalg::CVector> truth;
-  for (int f = 0; f < n_frames; ++f) {
-    const FrameContext& ctx =
-        contexts[static_cast<std::size_t>(f) % contexts.size()];
-    const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
-    decision = channels;
-    truth = channels;
-    injector.apply(frame_id, decision, truth);
-    session.step_into(decision, truth, ctx, faults, outcome);
-    report.add(outcome);
-  }
-  return report;
+  return frame_loop<Channels>(
+      session, contexts, n_frames, injector, [&](std::uint32_t) {
+        return std::pair{&channels, &channels};
+      });
 }
 
 SessionReport run_trace(MulticastSession& session,
                         const channel::CsiTrace& trace,
                         const std::vector<FrameContext>& contexts,
-                        int frames_per_snapshot) {
+                        int frames_per_snapshot,
+                        const fault::FaultInjector* injector) {
   if (contexts.empty())
     throw std::invalid_argument("run_trace: no frame contexts");
   if (trace.steps() == 0)
     throw std::invalid_argument("run_trace: empty trace");
-  SessionReport report;
-  const fault::FrameFaults no_faults;
-  FrameOutcome outcome;
-  int frame = 0;
-  for (std::size_t t = 0; t < trace.steps(); ++t) {
-    const auto& truth = trace.snapshots[t];
-    const auto& decision = trace.snapshots[t > 0 ? t - 1 : 0];
-    for (int k = 0; k < frames_per_snapshot; ++k, ++frame) {
-      const FrameContext& ctx =
-          contexts[static_cast<std::size_t>(frame) % contexts.size()];
-      session.step_into(decision, truth, ctx, no_faults, outcome);
-      report.add(outcome);
-    }
-  }
-  return report;
+  const int n_frames = static_cast<int>(trace.steps()) * frames_per_snapshot;
+  return frame_loop<Channels>(
+      session, contexts, n_frames, injector, [&](std::uint32_t frame) {
+        const std::size_t t =
+            frame / static_cast<std::uint32_t>(frames_per_snapshot);
+        return std::pair{&trace.snapshots[t > 0 ? t - 1 : 0],
+                         &trace.snapshots[t]};
+      });
 }
 
-SessionReport run_static_multi_ap(
-    MulticastSession& session,
-    const std::vector<std::vector<linalg::CVector>>& stacks,
-    const std::vector<FrameContext>& contexts, int n_frames,
-    const fault::FaultInjector& injector,
-    const std::vector<std::vector<double>>& azimuths) {
+SessionReport run_static_multi_ap(MulticastSession& session,
+                                  const Stacks& stacks,
+                                  const std::vector<FrameContext>& contexts,
+                                  int n_frames,
+                                  const fault::FaultInjector* injector,
+                                  const Azimuths& azimuths) {
   if (contexts.empty())
     throw std::invalid_argument("run_static_multi_ap: no frame contexts");
   if (stacks.empty())
     throw std::invalid_argument("run_static_multi_ap: no AP stacks");
-  SessionReport report;
-  FrameOutcome outcome;
-  // Per-frame faulted copies, hoisted so the nested buffers are reused.
-  std::vector<std::vector<linalg::CVector>> decision;
-  std::vector<std::vector<linalg::CVector>> truth;
-  for (int f = 0; f < n_frames; ++f) {
-    const FrameContext& ctx =
-        contexts[static_cast<std::size_t>(f) % contexts.size()];
-    const auto frame_id = static_cast<std::uint32_t>(f);
-    const fault::FrameFaults faults = injector.at(frame_id);
-    decision = stacks;
-    truth = stacks;
-    injector.apply_aps(frame_id, decision, truth, azimuths);
-    session.step_multi_into(decision, truth, ctx, faults, outcome);
-    report.add(outcome);
-  }
-  return report;
-}
-
-SessionReport run_trace(MulticastSession& session,
-                        const channel::CsiTrace& trace,
-                        const std::vector<FrameContext>& contexts,
-                        const fault::FaultInjector& injector,
-                        int frames_per_snapshot) {
-  if (contexts.empty())
-    throw std::invalid_argument("run_trace: no frame contexts");
-  if (trace.steps() == 0)
-    throw std::invalid_argument("run_trace: empty trace");
-  SessionReport report;
-  FrameOutcome outcome;
-  std::vector<linalg::CVector> decision;
-  std::vector<linalg::CVector> truth;
-  std::uint32_t frame = 0;
-  for (std::size_t t = 0; t < trace.steps(); ++t) {
-    for (int k = 0; k < frames_per_snapshot; ++k, ++frame) {
-      const FrameContext& ctx =
-          contexts[frame % contexts.size()];
-      const fault::FrameFaults faults = injector.at(frame);
-      truth = trace.snapshots[t];
-      decision = trace.snapshots[t > 0 ? t - 1 : 0];
-      injector.apply(frame, decision, truth);
-      session.step_into(decision, truth, ctx, faults, outcome);
-      report.add(outcome);
-    }
-  }
-  return report;
+  return frame_loop<Stacks>(
+      session, contexts, n_frames, injector,
+      [&](std::uint32_t) { return std::pair{&stacks, &stacks}; }, azimuths);
 }
 
 }  // namespace w4k::core

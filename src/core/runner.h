@@ -37,15 +37,24 @@ void channels_for_into(const channel::PropagationConfig& prop,
                        const std::vector<channel::Position>& users,
                        std::vector<linalg::CVector>& out);
 
-/// Streams `n_frames` over a static channel, cycling through `contexts`.
-/// Decision CSI equals the true channel (static case: beacons are fresh).
-/// Returns the accumulated per-frame outcomes with all the aggregation
-/// helpers of SessionReport (per-(frame,user) quality via all_ssim(), raw
-/// outcomes via frame_outcomes()).
+// Every runner below drives one frame loop. Frame f steps contexts[f %
+// contexts.size()]. With an injector, each frame's FrameFaults come from
+// `injector->at(f)` and its channel-level faults (blockage bursts, CSI
+// corruption, AP outages) are applied to per-frame copies of the decision
+// and true channels before stepping; null (the default) streams the
+// channels as given, copying nothing. An empty FaultPlan reproduces the
+// fault-free run bit-identically — the chaos suite asserts this.
+
+/// Streams `n_frames` over a static channel. Decision CSI equals the true
+/// channel (static case: beacons are fresh). Returns the accumulated
+/// per-frame outcomes with all the aggregation helpers of SessionReport
+/// (per-(frame,user) quality via all_ssim(), raw outcomes via
+/// frame_outcomes()).
 SessionReport run_static(MulticastSession& session,
                          const std::vector<linalg::CVector>& channels,
                          const std::vector<FrameContext>& contexts,
-                         int n_frames);
+                         int n_frames,
+                         const fault::FaultInjector* injector = nullptr);
 
 /// Streams over a CSI trace at 30 FPS (3 frames per 100 ms beacon): the
 /// sender acts on the previous beacon's CSI while the true channel is the
@@ -53,37 +62,21 @@ SessionReport run_static(MulticastSession& session,
 SessionReport run_trace(MulticastSession& session,
                         const channel::CsiTrace& trace,
                         const std::vector<FrameContext>& contexts,
-                        int frames_per_snapshot = 3);
+                        int frames_per_snapshot = 3,
+                        const fault::FaultInjector* injector = nullptr);
 
-/// Fault-injecting variants: each frame's FrameFaults come from
-/// `injector.at(frame)`, and the injector's channel-level faults (blockage
-/// bursts, CSI corruption) are applied to per-frame copies of the decision
-/// and true channels before stepping. An empty FaultPlan reproduces the
-/// fault-free overload bit-identically — the chaos suite asserts this.
-SessionReport run_static(MulticastSession& session,
-                         const std::vector<linalg::CVector>& channels,
-                         const std::vector<FrameContext>& contexts,
-                         int n_frames, const fault::FaultInjector& injector);
-
-SessionReport run_trace(MulticastSession& session,
-                        const channel::CsiTrace& trace,
-                        const std::vector<FrameContext>& contexts,
-                        const fault::FaultInjector& injector,
-                        int frames_per_snapshot = 3);
-
-/// Multi-AP static loop: per-frame copies of the per-AP channel stacks
-/// ([ap][user], channel::ap_channel_stacks) take the injector's channel-
-/// level and AP-level faults (blockage with AP scoping, total and sector
-/// outages) via apply_aps, then stream through session.step_multi_into.
-/// `azimuths[a][u]` (channel::ap_user_azimuths) feeds the sector-outage
-/// geometry; pass {} to degrade sector outages to total ones. With one AP
-/// stack and a plan with no AP-level faults this is bit-identical to the
-/// single-AP run_static overload.
+/// Multi-AP static loop over per-AP channel stacks ([ap][user],
+/// channel::ap_channel_stacks), streamed through session.step_multi_into.
+/// The injector's faults go through apply_aps, which adds AP scoping to
+/// blockage and total/sector outages; `azimuths[a][u]`
+/// (channel::ap_user_azimuths) feeds the sector-outage geometry — pass {}
+/// to degrade sector outages to total ones. With one AP stack and a plan
+/// with no AP-level faults this is bit-identical to run_static.
 SessionReport run_static_multi_ap(
     MulticastSession& session,
     const std::vector<std::vector<linalg::CVector>>& stacks,
     const std::vector<FrameContext>& contexts, int n_frames,
-    const fault::FaultInjector& injector,
+    const fault::FaultInjector* injector = nullptr,
     const std::vector<std::vector<double>>& azimuths = {});
 
 }  // namespace w4k::core

@@ -17,6 +17,20 @@
 
 namespace w4k::core {
 
+namespace {
+
+/// The one config check that depends on the frame's user count, shared by
+/// validate() and the per-frame input checks.
+void check_associated_user(std::size_t associated_user, std::size_t n_users) {
+  if (n_users > 0 && associated_user >= n_users)
+    throw std::invalid_argument(
+        "SessionConfig.associated_user: out of range (" +
+        std::to_string(associated_user) + " >= " + std::to_string(n_users) +
+        " users)");
+}
+
+}  // namespace
+
 SessionConfig SessionConfig::scaled(int width, int height) {
   SessionConfig cfg;
   cfg.rate_scale = rate_scale_for(width, height);
@@ -113,10 +127,7 @@ void SessionConfig::validate(std::size_t codebook_beams,
         "antenna (" +
             std::to_string(codebook_beams) + " beams < " +
             std::to_string(channel::kDefaultApAntennas) + " antennas)");
-  if (n_users != kUnknown && n_users > 0 && associated_user >= n_users)
-    bad("associated_user",
-        "out of range (" + std::to_string(associated_user) + " >= " +
-            std::to_string(n_users) + " users)");
+  if (n_users != kUnknown) check_associated_user(associated_user, n_users);
 }
 
 MulticastSession::MulticastSession(const SessionConfig& cfg,
@@ -209,6 +220,11 @@ void resize_recycled(std::vector<T>& v, std::size_t n, std::vector<T>& pool) {
     pool.reserve(v.size() + pool.size());
 }
 
+/// User u is in the session this frame (churn; empty mask = everyone).
+bool is_active(const fault::FrameFaults& faults, std::size_t u) {
+  return faults.user_active.empty() || faults.user_active[u] != 0;
+}
+
 bool all_finite(const std::vector<linalg::CVector>& channels) {
   for (const auto& h : channels)
     for (std::size_t n = 0; n < h.size(); ++n)
@@ -219,21 +235,13 @@ bool all_finite(const std::vector<linalg::CVector>& channels) {
 
 }  // namespace
 
-MulticastSession::Decision MulticastSession::decide(
-    const std::vector<linalg::CVector>& channels, const FrameContext& ctx,
-    const std::vector<std::uint8_t>& exclude) {
-  Decision d;
-  decide_into(channels, ctx, exclude, d);
-  return d;
-}
-
 void MulticastSession::decide_into(
     const std::vector<linalg::CVector>& channels, const FrameContext& ctx,
     const std::vector<std::uint8_t>& exclude, Decision& d) {
   // Anytime budget: beamforming may defer optional merge candidates past
   // ~45% of the budget, the allocator returns best-so-far past ~90%, and
   // the remaining slack absorbs unit mapping. A zero deadline arms
-  // nothing — decide() then never reads the clock, which is what keeps
+  // nothing — the decision then never reads the clock, which is what keeps
   // its output a pure function of the inputs.
   sched::OptimizerConfig opt_cfg = cfg_.optimizer;
   std::optional<std::chrono::steady_clock::time_point> beam_deadline;
@@ -248,8 +256,9 @@ void MulticastSession::decide_into(
   {
     // Group beamforming. Every subset's beam derives its RNG from
     // (cfg_.seed, member bitmask), so the result is a pure function of the
-    // CSI and config — the cache below and the ThreadPool-parallel miss
-    // computation are bit-identical to a serial, uncached enumeration.
+    // CSI and config — the beam cache and the ThreadPool-parallel miss
+    // computation are bit-identical to the stateless serial enumeration
+    // (sched::enumerate_groups; pinned by the beam-cache property suite).
     static obs::Stage& st = obs::stage("session.beamform");
     obs::StageSpan span(st);
     // enum_cfg_ is a member so the exclude vector's capacity survives
@@ -263,13 +272,9 @@ void MulticastSession::decide_into(
     // pre-partition code.
     enum_cfg_.partition.assign(partition_.begin(), partition_.end());
     enum_cfg_.deadline = beam_deadline;
-    ThreadPool* pool = &ThreadPool::shared();
     const std::span<const sched::GroupSpec> emitted =
-        cfg_.beam_cache
-            ? beam_cache_.enumerate_into(channels, codebook_, enum_cfg_, pool,
-                                         sched_ws_)
-            : sched::enumerate_groups(cfg_.scheme, channels, codebook_,
-                                      cfg_.seed, enum_cfg_, pool, sched_ws_);
+        beam_cache_.enumerate_into(channels, codebook_, enum_cfg_,
+                                   &ThreadPool::shared(), sched_ws_);
     // Copy out of the workspace pool through the recycling resize:
     // copy-assignment over reused GroupSpec elements keeps their member /
     // beam buffers' capacity across frames, and shrunk elements survive
@@ -336,8 +341,7 @@ void MulticastSession::decide_into(
   // member bitmask) to warm-start the optimizer. Only offered when at least
   // half of the previous airtime maps onto a still-existing group — past
   // that the landscape has shifted enough that the cold multi-start is the
-  // better bet. Note: this depends only on the previous *allocation*, never
-  // on the beam-cache flag, so cache on/off stays bit-identical.
+  // better bet.
   const auto group_mask = [](const sched::GroupSpec& g) {
     sched::GroupMask mask = 0;
     for (std::size_t u : g.members) mask |= sched::GroupMask{1} << u;
@@ -392,23 +396,35 @@ void MulticastSession::decide_into(
   }
 }
 
-FrameOutcome MulticastSession::step(
-    const std::vector<linalg::CVector>& decision_channels,
-    const std::vector<linalg::CVector>& true_channels,
-    const FrameContext& ctx) {
-  return step(decision_channels, true_channels, ctx, fault::FrameFaults{});
-}
-
-FrameOutcome MulticastSession::step(
-    const std::vector<linalg::CVector>& decision_channels,
-    const std::vector<linalg::CVector>& true_channels,
-    const FrameContext& ctx, const fault::FrameFaults& faults) {
-  FrameOutcome out;
-  step_into(decision_channels, true_channels, ctx, faults, out);
-  return out;
+void MulticastSession::check_frame_inputs(
+    std::size_t n_users, const fault::FrameFaults& faults) const {
+  // cfg_ was fully validated at construction and never changes; only its
+  // user-count-dependent check needs the frame.
+  check_associated_user(cfg_.associated_user, n_users);
+  const auto check_mask = [&](std::size_t got, const char* name) {
+    if (got != 0 && got != n_users)
+      throw std::invalid_argument(std::string("step: faults.") + name +
+                                  " size mismatch");
+  };
+  check_mask(faults.feedback_lost.size(), "feedback_lost");
+  check_mask(faults.user_active.size(), "user_active");
+  check_mask(faults.relay_down.size(), "relay_down");
+  if (!(faults.budget_scale > 0.0 && faults.budget_scale <= 1.0))
+    throw std::invalid_argument("step: faults.budget_scale outside (0, 1]");
 }
 
 void MulticastSession::step_into(
+    const std::vector<linalg::CVector>& decision_channels,
+    const std::vector<linalg::CVector>& true_channels,
+    const FrameContext& ctx, const fault::FrameFaults& faults,
+    FrameOutcome& out) {
+  if (decision_channels.size() != true_channels.size())
+    throw std::invalid_argument("step: channel vector count mismatch");
+  check_frame_inputs(true_channels.size(), faults);
+  stream_frame(decision_channels, true_channels, ctx, faults, out);
+}
+
+void MulticastSession::stream_frame(
     const std::vector<linalg::CVector>& decision_channels,
     const std::vector<linalg::CVector>& true_channels,
     const FrameContext& ctx, const fault::FrameFaults& faults,
@@ -420,143 +436,152 @@ void MulticastSession::step_into(
   out.decoded_fraction.clear();
   out.stats = emu::FrameTxStats{};
   out.optimizer_objective = 0.0;
-  out.frame_id = 0;
   out.user_present.clear();
   out.user_quarantined.clear();
   out.shed_symbols = 0;
-  out.csi_held = false;
   out.user_ap.clear();
   out.handoffs = 0;
   out.relayed_symbols = 0;
 
-  if (decision_channels.size() != true_channels.size())
-    throw std::invalid_argument("step: channel vector count mismatch");
   const std::size_t n_users = true_channels.size();
-  cfg_.validate(SessionConfig::kUnknown, n_users);
-  const auto check_mask = [&](std::size_t got, const char* name) {
-    if (got != 0 && got != n_users)
-      throw std::invalid_argument(std::string("step: faults.") + name +
-                                  " size mismatch");
-  };
-  check_mask(faults.feedback_lost.size(), "feedback_lost");
-  check_mask(faults.user_active.size(), "user_active");
-  check_mask(faults.relay_down.size(), "relay_down");
-  if (!(faults.budget_scale > 0.0 && faults.budget_scale <= 1.0))
-    throw std::invalid_argument("step: faults.budget_scale outside (0, 1]");
   ensure_user_state(n_users);
-  const std::uint32_t frame_id = next_frame_id_++;
+  frame_ = FrameState{};
+  frame_.n_users = n_users;
+  frame_.frame_id = next_frame_id_++;
 
   static obs::Stage& st_frame = obs::stage("session.frame");
   obs::StageSpan frame_span(st_frame);
 
-  // --- CSI health: hold the last good beamweights over a missed or
-  // corrupt beacon instead of deciding on garbage. ------------------------
+  hold_csi(decision_channels, faults);
+  plan_exclusions(faults);
+  out.frame_id = frame_.frame_id;
+  out.csi_held = frame_.csi_held;
+  // Everyone left: an idle frame, not an error. Frame ids keep counting.
+  if (frame_.n_active == 0) {
+    blank_outcome(ctx, faults, out);
+    return;
+  }
+
+  decide_frame(ctx);
+  out.optimizer_objective = frame_.decision->allocation.objective;
+  if (frame_.decision->groups.empty()) {
+    // Outage frame: receivers render the blank frame, whose scores were
+    // computed once at context-build time (so a long outage stays
+    // allocation-free) — every active user's score is reused.
+    static obs::Stage& st = obs::stage("session.quality");
+    obs::StageSpan span(st);
+    blank_outcome(ctx, faults, out);
+    if (obs::enabled()) {
+      static obs::Counter& c_reused =
+          obs::MetricsRegistry::global().counter("session.quality.reused");
+      c_reused.add(frame_.n_active);
+    }
+    return;
+  }
+
+  assemble_tx(true_channels);
+  shed(ctx, faults, out);
+  mark_silent_feedback(faults);
+  // Peer relay: LoS users forward base-layer symbols to quarantined peers,
+  // charged against the same frame budget (DESIGN.md Sec. 4h).
+  plan_relays(faults);
+  transmit(ctx);
+  update_recovery(ctx, faults);
+  out.stats = tx_result_.stats;
+  out.relayed_symbols = tx_result_.relayed_symbols;
+  const EvalCounts counts = evaluate(ctx, faults, out);
+  fill_presence(faults, out);
+  flush_telemetry(faults, out, counts);
+}
+
+void MulticastSession::hold_csi(
+    const std::vector<linalg::CVector>& decision_channels,
+    const fault::FrameFaults& faults) {
+  // Hold the last good beamweights over a missed or corrupt beacon instead
+  // of deciding on garbage.
   const bool csi_finite = all_finite(decision_channels);
-  const std::vector<linalg::CVector>* decision_base = &decision_channels;
-  std::vector<linalg::CVector> sanitized;
-  bool csi_held = false;
+  frame_.decision_csi = &decision_channels;
   if (faults.csi_stale || !csi_finite) {
-    if (held_csi_.size() == n_users) {
-      decision_base = &held_csi_;
-      csi_held = true;
+    if (held_csi_.size() == frame_.n_users) {
+      frame_.decision_csi = &held_csi_;
+      frame_.csi_held = true;
     } else if (!csi_finite) {
       // Nothing to fall back to: zero the poisoned entries. The affected
       // users enumerate as unreachable (outage) rather than NaN.
-      sanitized = decision_channels;
-      for (auto& h : sanitized)
+      sanitized_ = decision_channels;
+      for (auto& h : sanitized_)
         for (std::size_t n = 0; n < h.size(); ++n)
           if (!std::isfinite(h[n].real()) || !std::isfinite(h[n].imag()))
             h[n] = linalg::Complex(0.0, 0.0);
-      decision_base = &sanitized;
+      frame_.decision_csi = &sanitized_;
     }
   } else {
     held_csi_ = decision_channels;  // fresh and finite: new fallback point
   }
   // Stale beamweights deserve a conservative MCS.
-  const double mcs_margin_db =
-      cfg_.mcs_margin_db + (csi_held ? cfg_.stale_csi_backoff_db : 0.0);
+  frame_.mcs_margin_db =
+      cfg_.mcs_margin_db + (frame_.csi_held ? cfg_.stale_csi_backoff_db : 0.0);
+}
 
-  // --- Active / quarantine bookkeeping -> group-optimizer exclusions ----
-  const auto active = [&](std::size_t u) {
-    return faults.user_active.empty() || faults.user_active[u] != 0;
-  };
-  const bool reprobe_frame =
+void MulticastSession::plan_exclusions(const fault::FrameFaults& faults) {
+  const std::size_t n_users = frame_.n_users;
+  frame_.reprobe =
       cfg_.quarantine_after > 0 &&
-      frame_id % static_cast<std::uint32_t>(cfg_.quarantine_reprobe_period) ==
+      frame_.frame_id %
+              static_cast<std::uint32_t>(cfg_.quarantine_reprobe_period) ==
           0;
   exclude_.assign(n_users, 0);
-  std::size_t n_included = 0;
-  std::size_t n_active = 0;
   for (std::size_t u = 0; u < n_users; ++u) {
-    const bool act = active(u);
-    n_active += act ? 1 : 0;
-    const bool inc = act && (quarantined_[u] == 0 || reprobe_frame);
+    const bool act = is_active(faults, u);
+    frame_.n_active += act ? 1 : 0;
+    const bool inc = act && (quarantined_[u] == 0 || frame_.reprobe);
     exclude_[u] = inc ? 0 : 1;
-    n_included += inc ? 1 : 0;
+    frame_.n_included += inc ? 1 : 0;
   }
-  if (n_included == 0 && n_active > 0) {
+  if (frame_.n_included == 0 && frame_.n_active > 0) {
     // Every remaining user is quarantined: streaming to nobody serves no
     // one, so treat the frame as a forced re-probe of all of them.
-    for (std::size_t u = 0; u < n_users; ++u) exclude_[u] = active(u) ? 0 : 1;
-    n_included = n_active;
-  }
-
-  out.frame_id = frame_id;
-  out.csi_held = csi_held;
-  const auto fill_presence = [&] {
-    if (n_active < n_users) {
-      out.user_present.assign(n_users, false);
-      for (std::size_t u = 0; u < n_users; ++u) out.user_present[u] = active(u);
-    }
-    bool any_quarantined = false;
     for (std::size_t u = 0; u < n_users; ++u)
-      any_quarantined |= quarantined_[u] != 0;
-    if (any_quarantined) {
-      out.user_quarantined.assign(n_users, false);
-      for (std::size_t u = 0; u < n_users; ++u)
-        out.user_quarantined[u] = quarantined_[u] != 0;
-    }
-  };
-
-  if (n_active == 0) {
-    // Everyone left: an idle frame, not an error. Frame ids keep counting.
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
-    fill_presence();
-    return;
+      exclude_[u] = is_active(faults, u) ? 0 : 1;
+    frame_.n_included = frame_.n_active;
   }
+}
 
+void MulticastSession::decide_frame(const FrameContext& ctx) {
   // Optionally estimate CSI the way the hardware does (SLS sweep + phase
   // retrieval) instead of taking the beacon channels as ground truth.
-  const std::vector<linalg::CVector>* decision_csi = decision_base;
-  std::vector<linalg::CVector> estimated;
+  const std::vector<linalg::CVector>* csi = frame_.decision_csi;
   if (cfg_.use_estimated_csi) {
     static obs::Stage& st = obs::stage("session.csi_estimate");
     obs::StageSpan span(st);
-    if (codebook_.size() < (decision_base->empty()
-                                ? 1
-                                : decision_base->front().size()))
+    if (codebook_.size() < (csi->empty() ? 1 : csi->front().size()))
       throw std::invalid_argument(
           "step: CSI estimation needs codebook size >= antenna count");
-    estimated.reserve(decision_base->size());
-    for (const auto& h : *decision_base) {
+    estimated_.clear();
+    for (const auto& h : *csi) {
       const beamforming::SweepResult sweep =
           beamforming::sector_sweep(h, codebook_, rng_, cfg_.sls_noise_db);
-      estimated.push_back(beamforming::estimate_csi(sweep, codebook_).h);
+      estimated_.push_back(beamforming::estimate_csi(sweep, codebook_).h);
     }
-    decision_csi = &estimated;
+    csi = &estimated_;
   }
-
-  const Decision* decision = nullptr;
-  if (!cfg_.adapt) {
-    if (!frozen_) frozen_ = decide(*decision_csi, ctx, exclude_);
-    decision = &*frozen_;
-  } else {
-    decide_into(*decision_csi, ctx, exclude_, decision_);
-    decision = &decision_;
+  if (cfg_.adapt) {
+    decide_into(*csi, ctx, exclude_, decision_);
+    frame_.decision = &decision_;
+    return;
   }
+  if (!frozen_) {
+    Decision first;
+    decide_into(*csi, ctx, exclude_, first);
+    frozen_ = std::move(first);
+  }
+  frame_.decision = &*frozen_;
+}
 
+void MulticastSession::assemble_tx(
+    const std::vector<linalg::CVector>& true_channels) {
+  const Decision& decision = *frame_.decision;
+  const std::vector<linalg::CVector>& decision_csi = *frame_.decision_csi;
   // "No Update" freezes the app-level decision (groups, time allocation,
   // packet schedule), but the 802.11ad firmware keeps training beams and
   // adapting MCS on its own — the link stays alive on pre-defined sectors
@@ -565,337 +590,184 @@ void MulticastSession::step_into(
   // not what happens on real hardware. The firmware's knowledge has the
   // same one-beacon staleness as everyone else's: it trains on the last
   // sweep (decision channels), not on the in-flight channel.
-  std::vector<linalg::CVector> fallback_beams;
+  fallback_beams_.clear();
   if (!cfg_.adapt && codebook_.size() > 0) {
-    fallback_beams.reserve(decision->groups.size());
-    for (const auto& spec : decision->groups) {
+    for (const auto& spec : decision.groups) {
       const linalg::CVector* best = nullptr;
       double best_min = -1e300;
       for (std::size_t k = 0; k < codebook_.size(); ++k) {
         double min_rss = 1e300;
         for (std::size_t u : spec.members)
           min_rss = std::min(
-              min_rss,
-              channel::beam_rss((*decision_base)[u], codebook_[k]).value);
+              min_rss, channel::beam_rss(decision_csi[u], codebook_[k]).value);
         if (min_rss > best_min) {
           best_min = min_rss;
           best = &codebook_[k];
         }
       }
-      fallback_beams.push_back(best != nullptr ? *best : spec.beam.beam);
+      fallback_beams_.push_back(best != nullptr ? best : &spec.beam.beam);
     }
-  }
-
-  out.optimizer_objective = decision->allocation.objective;
-
-  if (decision->groups.empty()) {
-    // Outage frame: receivers render the blank frame.
-    static obs::Stage& st = obs::stage("session.quality");
-    obs::StageSpan span(st);
-    // Both references were computed once at context-build time (the SSIM
-    // doubles as a quality-model feature), so a long outage stays
-    // allocation-free.
-    const double s = ctx.content.blank_ssim;
-    const double p = ctx.blank_psnr;
-    out.ssim.assign(n_users, 0.0);
-    out.psnr.assign(n_users, 0.0);
-    out.decoded_fraction.assign(n_users, 0.0);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) continue;
-      out.ssim[u] = s;
-      out.psnr[u] = p;
-    }
-    // Every active user took the blank frame's scores: all reused.
-    if (obs::enabled()) {
-      static obs::Counter& c_reused =
-          obs::MetricsRegistry::global().counter("session.quality.reused");
-      c_reused.add(n_active);
-    }
-    fill_presence();
-    return;
   }
 
   // Assemble the per-group transmission parameters against the *current*
   // channel (the decision was made on beacon-time CSI). Indices must stay
-  // 1:1 with decision->groups because the assignments reference them; a
+  // 1:1 with decision.groups because the assignments reference them; a
   // group whose MCS lookup fails keeps a zero drain rate and the engine
   // drops its packets.
-  resize_recycled(groups_tx_, decision->groups.size(), tx_pool_);
-  {
-    static obs::Stage& st = obs::stage("session.mcs");
-    obs::StageSpan span(st);
-    for (std::size_t g = 0; g < decision->groups.size(); ++g) {
-      const auto& spec = decision->groups[g];
-      // Per-entry reset of the reused slot: copy-assign / clear reuse the
-      // member vectors' capacity; the fields match a fresh GroupTx.
-      emu::GroupTx& tx = groups_tx_[g];
-      tx.members = spec.members;
-      tx.mcs = channel::McsEntry{};
-      tx.drain_rate = Mbps{0.0};
-      tx.bucket_rate = Mbps{0.0};
-      tx.member_loss.clear();
-      // Beam actually on the air: the decision's optimized beam, or the
-      // firmware-tracked fallback sector in No-Update mode.
-      const linalg::CVector& air_beam =
-          fallback_beams.empty() ? spec.beam.beam : fallback_beams[g];
-      // MCS from the freshest link knowledge available: in No-Update mode
-      // the firmware's own tracking (current channel, fallback beam);
-      // otherwise the beacon-time decision RSS, minus the mobility margin.
-      Dbm link_rss = spec.beam.min_rss;
-      if (!fallback_beams.empty()) {
-        link_rss = Dbm{1e300};
-        for (std::size_t u : spec.members)
-          link_rss = std::min(
-              link_rss, channel::beam_rss((*decision_base)[u], air_beam));
-      }
-      if (const auto mcs = channel::select_mcs(link_rss - mcs_margin_db)) {
-        tx.mcs = *mcs;
-        tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
-        tx.bucket_rate = (cfg_.adapt && g < last_measured_.size() &&
-                          last_measured_[g].value > 0.0)
-                             ? last_measured_[g]
-                             : tx.drain_rate;
-        for (std::size_t u : spec.members) {
-          const Dbm rss = channel::beam_rss(true_channels[u], air_beam);
-          tx.member_loss.push_back(
-              u == cfg_.associated_user
-                  ? emu::associated_loss(cfg_.loss, rss, *mcs)
-                  : emu::monitor_loss(cfg_.loss, rss, *mcs));
-        }
+  resize_recycled(groups_tx_, decision.groups.size(), tx_pool_);
+  static obs::Stage& st = obs::stage("session.mcs");
+  obs::StageSpan span(st);
+  for (std::size_t g = 0; g < decision.groups.size(); ++g) {
+    const auto& spec = decision.groups[g];
+    // Per-entry reset of the reused slot: copy-assign / clear reuse the
+    // member vectors' capacity; the fields match a fresh GroupTx.
+    emu::GroupTx& tx = groups_tx_[g];
+    tx.members = spec.members;
+    tx.mcs = channel::McsEntry{};
+    tx.drain_rate = Mbps{0.0};
+    tx.bucket_rate = Mbps{0.0};
+    tx.member_loss.clear();
+    // Beam actually on the air: the decision's optimized beam, or the
+    // firmware-tracked fallback sector in No-Update mode.
+    const linalg::CVector& air_beam =
+        fallback_beams_.empty() ? spec.beam.beam : *fallback_beams_[g];
+    // MCS from the freshest link knowledge available: in No-Update mode
+    // the firmware's own tracking (current channel, fallback beam);
+    // otherwise the beacon-time decision RSS, minus the mobility margin.
+    Dbm link_rss = spec.beam.min_rss;
+    if (!fallback_beams_.empty()) {
+      link_rss = Dbm{1e300};
+      for (std::size_t u : spec.members)
+        link_rss =
+            std::min(link_rss, channel::beam_rss(decision_csi[u], air_beam));
+    }
+    if (const auto mcs = channel::select_mcs(link_rss - frame_.mcs_margin_db)) {
+      tx.mcs = *mcs;
+      tx.drain_rate = Mbps{mcs->udp_throughput.value * cfg_.rate_scale};
+      tx.bucket_rate = (cfg_.adapt && g < last_measured_.size() &&
+                        last_measured_[g].value > 0.0)
+                           ? last_measured_[g]
+                           : tx.drain_rate;
+      for (std::size_t u : spec.members) {
+        const Dbm rss = channel::beam_rss(true_channels[u], air_beam);
+        tx.member_loss.push_back(
+            u == cfg_.associated_user
+                ? emu::associated_loss(cfg_.loss, rss, *mcs)
+                : emu::monitor_loss(cfg_.loss, rss, *mcs));
       }
     }
   }
+}
 
-  // --- Budget collapse: shed enhancement layers, never the base ----------
+void MulticastSession::shed(const FrameContext& ctx,
+                            const fault::FrameFaults& faults,
+                            FrameOutcome& out) {
   // Assignments are in transmission-priority order (layer asc), so the
   // airtime estimate fills the base layer first; everything past the
   // collapsed budget is shed unless it is base-layer data, which is always
   // attempted (the layered-coding rationale: a thumbnail beats a freeze).
-  const std::vector<sched::UnitAssignment>* assignments =
-      &decision->unit_map.assignments;
-  std::vector<sched::UnitAssignment> shed_plan;
-  if (faults.budget_scale < 1.0) {
-    static obs::Stage& st = obs::stage("session.shed");
-    obs::StageSpan span(st);
-    const Seconds cap = cfg_.engine.frame_budget * faults.budget_scale;
-    const double wire = static_cast<double>(cfg_.engine.header_bytes +
-                                            cfg_.engine.symbol_size);
-    Seconds est = 0.0;
-    shed_plan.reserve(decision->unit_map.assignments.size());
-    for (const auto& a : decision->unit_map.assignments) {
-      const Mbps rate = groups_tx_[a.group].drain_rate;
-      const Seconds air =
-          rate.value > 0.0
-              ? rate.seconds_for(wire * static_cast<double>(a.symbols))
-              : 0.0;
-      const bool base_layer =
-          a.unit_index < ctx.units.size() &&
-          ctx.units[a.unit_index].id.layer == 0;
-      if (base_layer || est + air <= cap) {
-        shed_plan.push_back(a);
-        est += air;
-      } else {
-        out.shed_symbols += a.symbols;
-      }
-    }
-    assignments = &shed_plan;
-    if (verify::enabled()) {
-      // Shedding must only re-partition the plan: every scheduled symbol is
-      // either kept for transmission or counted as shed, never both/neither.
-      std::size_t scheduled = 0, kept = 0;
-      for (const auto& a : decision->unit_map.assignments)
-        scheduled += a.symbols;
-      for (const auto& a : shed_plan) kept += a.symbols;
-      verify::check(scheduled == kept + out.shed_symbols,
-                    "session.shed-conservation", [&] {
-                      return "scheduled " + std::to_string(scheduled) +
-                             " != kept " + std::to_string(kept) + " + shed " +
-                             std::to_string(out.shed_symbols);
-                    });
+  const auto& planned = frame_.decision->unit_map.assignments;
+  frame_.assignments = &planned;
+  if (faults.budget_scale >= 1.0) return;
+  static obs::Stage& st = obs::stage("session.shed");
+  obs::StageSpan span(st);
+  const Seconds cap = cfg_.engine.frame_budget * faults.budget_scale;
+  const double wire = static_cast<double>(cfg_.engine.header_bytes +
+                                          cfg_.engine.symbol_size);
+  Seconds est = 0.0;
+  shed_plan_.clear();
+  for (const auto& a : planned) {
+    const Mbps rate = groups_tx_[a.group].drain_rate;
+    const Seconds air =
+        rate.value > 0.0
+            ? rate.seconds_for(wire * static_cast<double>(a.symbols))
+            : 0.0;
+    const bool base_layer = a.unit_index < ctx.units.size() &&
+                            ctx.units[a.unit_index].id.layer == 0;
+    if (base_layer || est + air <= cap) {
+      shed_plan_.push_back(a);
+      est += air;
+    } else {
+      out.shed_symbols += a.symbols;
     }
   }
-
-  // --- Feedback faults -> engine fault state -----------------------------
-  emu::FrameFaultState efs;
-  efs.frame_id = frame_id;
-  efs.budget_scale = faults.budget_scale;
-  bool any_silent = false;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const bool lost =
-        (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) ||
-        !active(u);  // departed users cannot report either
-    if (lost) any_silent = true;
-  }
-  if (any_silent) {
-    efs.feedback_lost.assign(n_users, 0);
-    efs.blind_fraction.assign(n_users, cfg_.blind_makeup_fraction);
-    for (std::size_t u = 0; u < n_users; ++u) {
-      const bool lost =
-          (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) ||
-          !active(u);
-      if (!lost) continue;
-      efs.feedback_lost[u] = 1;
-      // Capped exponential backoff: the first silent frame gets the full
-      // conservative budget, each further consecutive one half of it.
-      const int halvings =
-          std::min(feedback_silent_streak_[u], cfg_.blind_backoff_cap);
-      efs.blind_fraction[u] =
-          cfg_.blind_makeup_fraction / static_cast<double>(1u << halvings);
-    }
-  }
-
-  // --- Peer relay: LoS users forward base-layer symbols to quarantined
-  // peers, charged against the same frame budget (DESIGN.md Sec. 4h) ------
-  plan_relays(*decision_base, n_users, mcs_margin_db, faults);
-
-  {
-    static obs::Stage& st = obs::stage("session.transmit");
-    obs::StageSpan span(st);
-    engine_.run_frame_into(ctx.units, *assignments, groups_tx_, n_users,
-                           rng_, efs, relays_, tx_result_);
-  }
-
-  if (cfg_.adapt) last_measured_ = tx_result_.measured_rate;
-
-  // --- Cross-frame recovery bookkeeping ---------------------------------
-  std::size_t quarantine_entered = 0;
-  std::size_t quarantine_exited = 0;
-  for (std::size_t u = 0; u < n_users; ++u) {
-    const bool lost =
-        (u < faults.feedback_lost.size() && faults.feedback_lost[u] != 0) &&
-        active(u);
-    const bool delayed =
-        u < faults.feedback_delayed.size() && faults.feedback_delayed[u] != 0;
-    // A delayed report proves the user alive once it lands, so it does not
-    // feed the persistent-silence streak; an outright loss does.
-    if (lost && !delayed) ++feedback_silent_streak_[u];
-    else feedback_silent_streak_[u] = 0;
-  }
-  if (cfg_.quarantine_after > 0) {
-    attempted_.assign(n_users, 0);
-    for (const auto& g : groups_tx_) {
-      if (g.drain_rate.value <= 0.0) continue;
-      for (std::size_t u : g.members) attempted_[u] = 1;
-    }
-    for (std::size_t u = 0; u < n_users; ++u) {
-      if (!active(u)) {
-        lost_frame_streak_[u] = 0;  // churn is not blockage
-        continue;
-      }
-      bool decoded_any = false;
-      for (bool b : tx_result_.user_decoded[u]) decoded_any |= b;
-      // A relay target's decodes came over the D2D side link, not its own
-      // AP ray — they prove the relay worked, not that the direct link
-      // recovered, so they must not release the quarantine (that would
-      // ping-pong the user between quarantine and dragging every group).
-      // Release still happens on re-probe frames, where the target is
-      // scheduled directly and never relayed to.
-      bool relayed_to = false;
-      for (const auto& rl : relays_) relayed_to |= rl.target == u;
-      if (decoded_any && !relayed_to) {
-        lost_frame_streak_[u] = 0;
-        if (quarantined_[u]) {
-          quarantined_[u] = 0;
-          ++quarantine_exited;
-        }
-      } else if (!decoded_any && attempted_[u] && faults.budget_scale >= 0.5 &&
-                 !ctx.units.empty()) {
-        // Only count frames where delivery was genuinely attempted over a
-        // healthy budget — a NIC stall must not quarantine the room.
-        if (++lost_frame_streak_[u] >= cfg_.quarantine_after &&
-            quarantined_[u] == 0) {
-          quarantined_[u] = 1;
-          ++quarantine_entered;
-        }
-      }
-    }
-  }
-
-  out.stats = tx_result_.stats;
-  out.relayed_symbols = tx_result_.relayed_symbols;
-  EvalCounts eval_counts;
-  {
-    static obs::Stage& st = obs::stage("session.quality");
-    obs::StageSpan span(st);
-    eval_counts = evaluate_users(ctx, tx_result_.user_decoded,
-                                 faults.user_active, eval_scratch_, out.ssim,
-                                 out.psnr, out.decoded_fraction);
-  }
-  fill_presence();
-
-  // One batched telemetry flush per frame: every fault seen and every
-  // degradation decision taken is visible in the metrics snapshot.
-  if (obs::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    static obs::Counter& c_held = reg.counter("session.csi_held_frames");
-    static obs::Counter& c_shed = reg.counter("session.shed_symbols");
-    static obs::Counter& c_shed_frames = reg.counter("session.shed_frames");
-    static obs::Counter& c_silent = reg.counter("session.feedback_silent_users");
-    static obs::Counter& c_q_in = reg.counter("session.quarantine_entered");
-    static obs::Counter& c_q_out = reg.counter("session.quarantine_exited");
-    static obs::Counter& c_q_probe = reg.counter("session.quarantine_reprobes");
-    static obs::Gauge& g_quarantined = reg.gauge("session.quarantined_users");
-    static obs::Gauge& g_active = reg.gauge("session.active_users");
-    static obs::Counter& c_relay_links = reg.counter("session.relay_links");
-    static obs::Counter& c_relayed = reg.counter("session.relayed_symbols");
-    static obs::Counter& c_scored = reg.counter("session.quality.scored");
-    static obs::Counter& c_reused = reg.counter("session.quality.reused");
-    c_relay_links.add(relays_.size());
-    c_scored.add(eval_counts.scored);
-    c_reused.add(eval_counts.reused);
-    c_relayed.add(out.relayed_symbols);
-    if (csi_held) c_held.add(1);
-    if (out.shed_symbols > 0) {
-      c_shed.add(out.shed_symbols);
-      c_shed_frames.add(1);
-    }
-    std::uint64_t silent = 0;
-    for (auto v : efs.feedback_lost) silent += v ? 1 : 0;
-    c_silent.add(silent);
-    c_q_in.add(quarantine_entered);
-    c_q_out.add(quarantine_exited);
-    if (reprobe_frame && n_included > 0) {
-      std::uint64_t probed = 0;
-      for (std::size_t u = 0; u < n_users; ++u)
-        probed += (quarantined_[u] != 0 && active(u)) ? 1 : 0;
-      c_q_probe.add(probed + quarantine_exited);
-    }
-    double quarantined = 0.0;
-    for (auto v : quarantined_) quarantined += v ? 1.0 : 0.0;
-    g_quarantined.set(quarantined);
-    g_active.set(static_cast<double>(n_active));
+  frame_.assignments = &shed_plan_;
+  if (verify::enabled()) {
+    // Shedding must only re-partition the plan: every scheduled symbol is
+    // either kept for transmission or counted as shed, never both/neither.
+    std::size_t scheduled = 0, kept = 0;
+    for (const auto& a : planned) scheduled += a.symbols;
+    for (const auto& a : shed_plan_) kept += a.symbols;
+    verify::check(scheduled == kept + out.shed_symbols,
+                  "session.shed-conservation", [&] {
+                    return "scheduled " + std::to_string(scheduled) +
+                           " != kept " + std::to_string(kept) + " + shed " +
+                           std::to_string(out.shed_symbols);
+                  });
   }
 }
 
-void MulticastSession::plan_relays(
-    const std::vector<linalg::CVector>& decision_channels, std::size_t n_users,
-    double mcs_margin_db, const fault::FrameFaults& faults) {
+void MulticastSession::mark_silent_feedback(const fault::FrameFaults& faults) {
+  const std::size_t n_users = frame_.n_users;
+  efs_.frame_id = frame_.frame_id;
+  efs_.budget_scale = faults.budget_scale;
+  // A user is silent when its report was lost, or when it departed (it
+  // cannot report either). Empty rows mean nobody is silent.
+  auto& silent = efs_.feedback_lost;
+  silent.assign(n_users, 0);
+  bool any_silent = false;
+  for (std::size_t u = 0; u < n_users; ++u) {
+    silent[u] = ((u < faults.feedback_lost.size() &&
+                  faults.feedback_lost[u] != 0) ||
+                 !is_active(faults, u))
+                    ? 1
+                    : 0;
+    any_silent |= silent[u] != 0;
+  }
+  if (!any_silent) {
+    silent.clear();
+    efs_.blind_fraction.clear();
+    return;
+  }
+  efs_.blind_fraction.assign(n_users, cfg_.blind_makeup_fraction);
+  for (std::size_t u = 0; u < n_users; ++u) {
+    if (silent[u] == 0) continue;
+    // Capped exponential backoff: the first silent frame gets the full
+    // conservative budget, each further consecutive one half of it.
+    const int halvings =
+        std::min(feedback_silent_streak_[u], cfg_.blind_backoff_cap);
+    efs_.blind_fraction[u] =
+        cfg_.blind_makeup_fraction / static_cast<double>(1u << halvings);
+  }
+}
+
+void MulticastSession::plan_relays(const fault::FrameFaults& faults) {
   relays_.clear();
   // Relaying needs the rateless code: a systematic-mode relayer could only
   // repeat the exact indices it holds, which the engine's duplication math
   // already covers.
   if (!cfg_.relay.enabled || !cfg_.engine.source_coding) return;
+  const std::size_t n_users = frame_.n_users;
   const auto down = [&](std::size_t u) {
     return u < faults.relay_down.size() && faults.relay_down[u] != 0;
   };
-  const auto active = [&](std::size_t u) {
-    return faults.user_active.empty() || faults.user_active[u] != 0;
-  };
   const auto rss_mw = [&](std::size_t u) {
-    const double mw = decision_channels[u].norm_sq();
+    const double mw = (*frame_.decision_csi)[u].norm_sq();
     return std::isfinite(mw) ? mw : 0.0;
   };
   for (std::size_t t = 0; t < n_users; ++t) {
     // Targets: quarantined users sitting out this frame (on re-probe
     // frames they are scheduled directly instead — exclude_[t] == 0).
-    if (!active(t) || quarantined_[t] == 0 || exclude_[t] == 0) continue;
+    if (!is_active(faults, t) || quarantined_[t] == 0 || exclude_[t] == 0)
+      continue;
     // Quality-aware relayer pick: the strongest-RSS scheduled peer. Its own
     // AP link bounds the D2D budget we charge, so a marginal user never
     // burns airtime relaying.
     std::size_t best = n_users;
     double best_mw = 0.0;
     for (std::size_t r = 0; r < n_users; ++r) {
-      if (r == t || !active(r) || exclude_[r] != 0 || down(r)) continue;
+      if (r == t || !is_active(faults, r) || exclude_[r] != 0 || down(r))
+        continue;
       const double mw = rss_mw(r);
       if (mw > best_mw) {
         best_mw = mw;
@@ -905,11 +777,164 @@ void MulticastSession::plan_relays(
     if (best == n_users || best_mw <= 0.0) continue;
     const Dbm rss = Dbm::from_milliwatts(best_mw);
     if (rss.value < cfg_.relay.min_relayer_rss_dbm) continue;
-    const auto mcs = channel::select_mcs(rss - mcs_margin_db);
+    const auto mcs = channel::select_mcs(rss - frame_.mcs_margin_db);
     if (!mcs) continue;
     relays_.push_back(
         emu::RelayLink{best, t, Mbps{mcs->udp_throughput.value * cfg_.rate_scale},
                        cfg_.relay.loss});
+  }
+}
+
+void MulticastSession::transmit(const FrameContext& ctx) {
+  {
+    static obs::Stage& st = obs::stage("session.transmit");
+    obs::StageSpan span(st);
+    engine_.run_frame_into(ctx.units, *frame_.assignments, groups_tx_,
+                           frame_.n_users, rng_, efs_, relays_, tx_result_);
+  }
+  if (cfg_.adapt) last_measured_ = tx_result_.measured_rate;
+}
+
+void MulticastSession::update_recovery(const FrameContext& ctx,
+                                       const fault::FrameFaults& faults) {
+  const std::size_t n_users = frame_.n_users;
+  const auto& silent = efs_.feedback_lost;
+  for (std::size_t u = 0; u < n_users; ++u) {
+    // Only an active user's own lost report counts: departure is churn.
+    const bool lost = !silent.empty() && silent[u] != 0 && is_active(faults, u);
+    const bool delayed =
+        u < faults.feedback_delayed.size() && faults.feedback_delayed[u] != 0;
+    // A delayed report proves the user alive once it lands, so it does not
+    // feed the persistent-silence streak; an outright loss does.
+    if (lost && !delayed) ++feedback_silent_streak_[u];
+    else feedback_silent_streak_[u] = 0;
+  }
+  if (cfg_.quarantine_after <= 0) return;
+  attempted_.assign(n_users, 0);
+  for (const auto& g : groups_tx_) {
+    if (g.drain_rate.value <= 0.0) continue;
+    for (std::size_t u : g.members) attempted_[u] = 1;
+  }
+  for (std::size_t u = 0; u < n_users; ++u) {
+    if (!is_active(faults, u)) {
+      lost_frame_streak_[u] = 0;  // churn is not blockage
+      continue;
+    }
+    bool decoded_any = false;
+    for (bool b : tx_result_.user_decoded[u]) decoded_any |= b;
+    // A relay target's decodes came over the D2D side link, not its own
+    // AP ray — they prove the relay worked, not that the direct link
+    // recovered, so they must not release the quarantine (that would
+    // ping-pong the user between quarantine and dragging every group).
+    // Release still happens on re-probe frames, where the target is
+    // scheduled directly and never relayed to.
+    bool relayed_to = false;
+    for (const auto& rl : relays_) relayed_to |= rl.target == u;
+    if (decoded_any && !relayed_to) {
+      lost_frame_streak_[u] = 0;
+      if (quarantined_[u]) {
+        quarantined_[u] = 0;
+        ++frame_.quarantine_exited;
+      }
+    } else if (!decoded_any && attempted_[u] && faults.budget_scale >= 0.5 &&
+               !ctx.units.empty()) {
+      // Only count frames where delivery was genuinely attempted over a
+      // healthy budget — a NIC stall must not quarantine the room.
+      if (++lost_frame_streak_[u] >= cfg_.quarantine_after &&
+          quarantined_[u] == 0) {
+        quarantined_[u] = 1;
+        ++frame_.quarantine_entered;
+      }
+    }
+  }
+}
+
+EvalCounts MulticastSession::evaluate(const FrameContext& ctx,
+                                      const fault::FrameFaults& faults,
+                                      FrameOutcome& out) {
+  static obs::Stage& st = obs::stage("session.quality");
+  obs::StageSpan span(st);
+  return evaluate_users(ctx, tx_result_.user_decoded, faults.user_active,
+                        eval_scratch_, out.ssim, out.psnr,
+                        out.decoded_fraction);
+}
+
+void MulticastSession::flush_telemetry(const fault::FrameFaults& faults,
+                                       const FrameOutcome& out,
+                                       const EvalCounts& counts) {
+  // Every fault seen and every degradation decision taken is visible in
+  // the metrics snapshot.
+  if (!obs::enabled()) return;
+  auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& c_held = reg.counter("session.csi_held_frames");
+  static obs::Counter& c_shed = reg.counter("session.shed_symbols");
+  static obs::Counter& c_shed_frames = reg.counter("session.shed_frames");
+  static obs::Counter& c_silent = reg.counter("session.feedback_silent_users");
+  static obs::Counter& c_q_in = reg.counter("session.quarantine_entered");
+  static obs::Counter& c_q_out = reg.counter("session.quarantine_exited");
+  static obs::Counter& c_q_probe = reg.counter("session.quarantine_reprobes");
+  static obs::Gauge& g_quarantined = reg.gauge("session.quarantined_users");
+  static obs::Gauge& g_active = reg.gauge("session.active_users");
+  static obs::Counter& c_relay_links = reg.counter("session.relay_links");
+  static obs::Counter& c_relayed = reg.counter("session.relayed_symbols");
+  static obs::Counter& c_scored = reg.counter("session.quality.scored");
+  static obs::Counter& c_reused = reg.counter("session.quality.reused");
+  c_relay_links.add(relays_.size());
+  c_scored.add(counts.scored);
+  c_reused.add(counts.reused);
+  c_relayed.add(out.relayed_symbols);
+  if (frame_.csi_held) c_held.add(1);
+  if (out.shed_symbols > 0) {
+    c_shed.add(out.shed_symbols);
+    c_shed_frames.add(1);
+  }
+  std::uint64_t silent = 0;
+  for (auto v : efs_.feedback_lost) silent += v ? 1 : 0;
+  c_silent.add(silent);
+  c_q_in.add(frame_.quarantine_entered);
+  c_q_out.add(frame_.quarantine_exited);
+  if (frame_.reprobe && frame_.n_included > 0) {
+    std::uint64_t probed = 0;
+    for (std::size_t u = 0; u < frame_.n_users; ++u)
+      probed += (quarantined_[u] != 0 && is_active(faults, u)) ? 1 : 0;
+    c_q_probe.add(probed + frame_.quarantine_exited);
+  }
+  double quarantined = 0.0;
+  for (auto v : quarantined_) quarantined += v ? 1.0 : 0.0;
+  g_quarantined.set(quarantined);
+  g_active.set(static_cast<double>(frame_.n_active));
+}
+
+void MulticastSession::blank_outcome(const FrameContext& ctx,
+                                     const fault::FrameFaults& faults,
+                                     FrameOutcome& out) const {
+  const std::size_t n_users = frame_.n_users;
+  out.ssim.assign(n_users, 0.0);
+  out.psnr.assign(n_users, 0.0);
+  out.decoded_fraction.assign(n_users, 0.0);
+  for (std::size_t u = 0; u < n_users; ++u) {
+    if (!is_active(faults, u)) continue;
+    out.ssim[u] = ctx.content.blank_ssim;
+    out.psnr[u] = ctx.blank_psnr;
+  }
+  fill_presence(faults, out);
+}
+
+void MulticastSession::fill_presence(const fault::FrameFaults& faults,
+                                     FrameOutcome& out) const {
+  const std::size_t n_users = frame_.n_users;
+  if (frame_.n_active < n_users) {
+    out.user_present.assign(n_users, false);
+    for (std::size_t u = 0; u < n_users; ++u)
+      out.user_present[u] = is_active(faults, u);
+  }
+  bool any_quarantined = false;
+  for (std::size_t u = 0; u < n_users; ++u)
+    any_quarantined |= quarantined_[u] != 0;
+  if (any_quarantined) {
+    out.user_quarantined.assign(n_users, false);
+    for (std::size_t u = 0; u < n_users; ++u)
+      out.user_quarantined[u] = quarantined_[u] != 0;
   }
 }
 
@@ -1044,13 +1069,16 @@ void MulticastSession::step_multi_into(
       throw std::invalid_argument("step_multi: per-AP user count mismatch");
 
   if (n_aps == 1) {
-    // One AP: exactly the legacy path (no partition, no attachment
-    // machinery) — bit-identical to step_into by construction.
+    // One AP: exactly the single-AP path (no partition, no attachment
+    // machinery).
     partition_.clear();
     step_into(decision_stacks[0], true_stacks[0], ctx, faults, out);
     return;
   }
 
+  // Every input is checked before the attachment machines advance: a
+  // rejected frame must not move weak streaks, probes or dwell windows.
+  check_frame_inputs(n_users, faults);
   ensure_user_state(n_users);
 
   // Best-case beacon RSS per (ap, user) — the same beacon-time signal the
@@ -1083,7 +1111,7 @@ void MulticastSession::step_multi_into(
     partition_[u] = serving_ap_[u];
   }
 
-  step_into(eff_decision_, eff_truth_, ctx, faults, out);
+  stream_frame(eff_decision_, eff_truth_, ctx, faults, out);
   partition_.clear();
 
   out.user_ap.assign(n_users, 0);

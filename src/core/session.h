@@ -38,19 +38,11 @@ struct SessionConfig {
   beamforming::Scheme scheme = beamforming::Scheme::kOptimizedMulticast;
   bool optimized_schedule = true;  ///< false = round-robin baseline
   bool adapt = true;               ///< false = "No Update"
-  /// Reuse per-subset beams across frames (sched::BeamCache): only subsets
-  /// containing a user whose CSI changed are re-beamformed, in parallel on
-  /// the shared ThreadPool. Because every subset's beam is a pure function
-  /// of (scheme, member channels, codebook, seed), the output is
-  /// bit-identical with the cache on or off — this flag exists for A/B
-  /// benchmarking and for the property suite that asserts exactly that.
-  bool beam_cache = true;
   /// Warm-start the Eq. 1 optimizer from the previous frame's allocation,
   /// remapped by member bitmask onto the surviving group set. Falls back to
   /// the full multi-start whenever the warm candidate is worse than the
   /// evaluated round-robin init (or too little of the previous allocation
-  /// survived). Independent of `beam_cache`, so toggling the cache cannot
-  /// change the schedule.
+  /// survived).
   bool warm_start = true;
   /// dB backed off the measured min-RSS before MCS selection. Mobile runs
   /// use 1-2 dB: the beacon-time CSI is up to 100 ms stale, and selecting
@@ -66,8 +58,8 @@ struct SessionConfig {
   emu::EngineConfig engine;
   sched::GroupEnumConfig group_enum;
   sched::OptimizerConfig optimizer;
-  /// Anytime wall-clock budget for decide(), in milliseconds. 0 (the
-  /// default) disables the deadline entirely: decide() reads no clock and
+  /// Anytime wall-clock budget for decide_into, in milliseconds. 0 (the
+  /// default) disables the deadline entirely: the decision reads no clock and
   /// its output is a pure function of the inputs (the golden/purity
   /// determinism contract). When > 0, candidate beamforming stops
   /// deferring optional merge subsets at ~45% of the budget and the Eq. 1
@@ -202,34 +194,30 @@ class MulticastSession {
 
   const SessionConfig& config() const { return cfg_; }
 
-  /// Streams one frame. `decision_channels` is the CSI the sender acts on
-  /// (last beacon); `true_channels` is the channel during transmission.
-  /// In No-Update mode the decision made on the first call is reused
-  /// forever (matching the paper's baseline).
-  FrameOutcome step(const std::vector<linalg::CVector>& decision_channels,
-                    const std::vector<linalg::CVector>& true_channels,
-                    const FrameContext& ctx);
-
-  /// Fault-aware variant: `faults` is this frame's resolved fault state
-  /// (fault::FaultInjector::at). The session walks the degradation ladder
-  /// instead of assuming the fault never happens: lost feedback → blind
-  /// makeup with capped backoff; stale/corrupt CSI → hold the last good
-  /// beamweights and back the MCS off; persistent per-user outage →
-  /// quarantine from the group optimizer with periodic re-probe; collapsed
-  /// budget → shed enhancement layers, always attempting the base layer;
-  /// churn → departed users drop out of the optimizer and the report.
-  /// A default-constructed FrameFaults reproduces the 3-argument overload
-  /// bit-identically.
-  FrameOutcome step(const std::vector<linalg::CVector>& decision_channels,
-                    const std::vector<linalg::CVector>& true_channels,
-                    const FrameContext& ctx, const fault::FrameFaults& faults);
-
-  /// The frame path proper, writing into a caller-owned outcome whose
-  /// vectors reuse their capacity across frames. Together with the
+  /// Streams one frame — the session's frame entry point. The frame's
+  /// stages run in Fig. 3 order (see the private stage functions below).
+  /// `decision_channels` is the CSI the sender acts on (last beacon);
+  /// `true_channels` is the channel during transmission. In No-Update mode
+  /// the decision made on the first frame is reused forever (matching the
+  /// paper's baseline).
+  ///
+  /// `faults` is this frame's resolved fault state (fault::FaultInjector::
+  /// at; default-constructed = no faults). The session walks the
+  /// degradation ladder instead of assuming the fault never happens: lost
+  /// feedback → blind makeup with capped backoff; stale/corrupt CSI → hold
+  /// the last good beamweights and back the MCS off; persistent per-user
+  /// outage → quarantine from the group optimizer with periodic re-probe;
+  /// collapsed budget → shed enhancement layers, always attempting the
+  /// base layer; churn → departed users drop out of the optimizer and the
+  /// report.
+  ///
+  /// `out`'s vectors reuse their capacity across frames. Together with the
   /// session's internal workspaces (scheduler enumeration buffers, engine
   /// scratch, reconstruction workspace) a steady-state frame performs zero
-  /// heap allocations (the W4K_COUNT_ALLOCS tier-1 gate). Bit-identical to
-  /// step(); both step overloads are thin wrappers over this.
+  /// heap allocations (the W4K_COUNT_ALLOCS tier-1 gate). Malformed inputs
+  /// (channel/fault-mask size mismatches, budget_scale outside (0, 1],
+  /// associated_user out of range) throw std::invalid_argument before any
+  /// session state changes.
   void step_into(const std::vector<linalg::CVector>& decision_channels,
                  const std::vector<linalg::CVector>& true_channels,
                  const FrameContext& ctx, const fault::FrameFaults& faults,
@@ -245,7 +233,9 @@ class MulticastSession {
   /// break: the user keeps streaming from the old AP through the probe, and
   /// quarantine / feedback-streak / warm-start state survives the switch
   /// untouched. Groups never span APs (the enumerator enforces partition
-  /// purity). With one AP stack this is bit-identical to step_into.
+  /// purity). With one AP stack this is exactly step_into. Inputs are
+  /// validated before the attachment machines advance, so a rejected frame
+  /// leaves the session untouched.
   void step_multi_into(
       const std::vector<std::vector<linalg::CVector>>& decision_stacks,
       const std::vector<std::vector<linalg::CVector>>& true_stacks,
@@ -263,17 +253,13 @@ class MulticastSession {
   };
 
   /// Runs the per-frame decision pipeline (group beamforming -> Eq. 1 time
-  /// allocation -> Eq. 4 unit mapping) without transmitting. Public so the
-  /// scheduler-scaling bench can time exactly this path; step() calls it
-  /// internally. Mutates the beam cache and warm-start state.
-  Decision decide(const std::vector<linalg::CVector>& channels,
-                  const FrameContext& ctx,
-                  const std::vector<std::uint8_t>& exclude);
-
-  /// decide() writing into a caller-owned Decision. Reused decisions
-  /// copy-assign the emitted groups / allocation / unit map over the
-  /// previous frame's containers, so the whole decision pipeline reuses
-  /// capacity in steady state. Bit-identical to decide().
+  /// allocation -> Eq. 4 unit mapping) without transmitting, writing into
+  /// a caller-owned Decision. Public so the scheduler-scaling bench can
+  /// time exactly this path; step_into calls it internally. Mutates the
+  /// beam cache and warm-start state. Reused decisions copy-assign the
+  /// emitted groups / allocation / unit map over the previous frame's
+  /// containers, so the whole decision pipeline reuses capacity in steady
+  /// state.
   void decide_into(const std::vector<linalg::CVector>& channels,
                    const FrameContext& ctx,
                    const std::vector<std::uint8_t>& exclude, Decision& d);
@@ -285,13 +271,60 @@ class MulticastSession {
   /// that become meaningless (held CSI, previous allocation) are dropped.
   void ensure_user_state(std::size_t n_users);
 
+  // --- The frame's stages, in Fig. 3 order -----------------------------
+  // step_into = check_frame_inputs + stream_frame; stream_frame runs the
+  // rest in sequence, handing per-frame facts along in frame_. Each stage
+  // keeps its obs span name (session.frame/beamform/allocate/unitmap/mcs/
+  // shed/transmit/quality).
+
+  /// Throws std::invalid_argument on malformed per-frame inputs: fault
+  /// masks not sized n_users (or empty), budget_scale outside (0, 1], or
+  /// associated_user out of range. Mutates nothing.
+  void check_frame_inputs(std::size_t n_users,
+                          const fault::FrameFaults& faults) const;
+  /// Stages after the input checks, on already-validated inputs.
+  void stream_frame(const std::vector<linalg::CVector>& decision_channels,
+                    const std::vector<linalg::CVector>& true_channels,
+                    const FrameContext& ctx, const fault::FrameFaults& faults,
+                    FrameOutcome& out);
+  /// CSI health: picks the decision CSI (fresh, held over a missed/corrupt
+  /// beacon, or sanitized) and the frame's MCS margin.
+  void hold_csi(const std::vector<linalg::CVector>& decision_channels,
+                const fault::FrameFaults& faults);
+  /// Active / quarantine bookkeeping -> group-optimizer exclusions.
+  void plan_exclusions(const fault::FrameFaults& faults);
+  /// (Estimated CSI ->) decide_into, or the frozen No-Update decision.
+  void decide_frame(const FrameContext& ctx);
+  /// Per-group MCS and member loss against the in-flight channel.
+  void assemble_tx(const std::vector<linalg::CVector>& true_channels);
+  /// Budget collapse: sheds enhancement-layer assignments, never the base.
+  void shed(const FrameContext& ctx, const fault::FrameFaults& faults,
+            FrameOutcome& out);
+  /// Each user's lost-feedback flag (once per frame) and blind-makeup
+  /// backoff, into efs_.
+  void mark_silent_feedback(const fault::FrameFaults& faults);
   /// Computes this frame's peer-relay plan into relays_ (empty unless
   /// cfg_.relay.enabled): for each active quarantined non-reprobing user,
   /// the best-RSS eligible line-of-sight peer gets one relay slot at the
   /// MCS its own link sustains. Deterministic, no rng.
-  void plan_relays(const std::vector<linalg::CVector>& decision_channels,
-                   std::size_t n_users, double mcs_margin_db,
-                   const fault::FrameFaults& faults);
+  void plan_relays(const fault::FrameFaults& faults);
+  void transmit(const FrameContext& ctx);
+  /// Feedback-silence streaks and quarantine entry/exit.
+  void update_recovery(const FrameContext& ctx,
+                       const fault::FrameFaults& faults);
+  /// Per-user SSIM/PSNR of what each user decoded.
+  EvalCounts evaluate(const FrameContext& ctx, const fault::FrameFaults& faults,
+                      FrameOutcome& out);
+  /// One batched metrics flush per frame (no-op with telemetry off).
+  void flush_telemetry(const fault::FrameFaults& faults,
+                       const FrameOutcome& out, const EvalCounts& counts);
+  /// The outcome of a frame nothing was transmitted in (everyone left, or
+  /// a deep outage): active users render the blank frame.
+  void blank_outcome(const FrameContext& ctx, const fault::FrameFaults& faults,
+                     FrameOutcome& out) const;
+  /// Presence / quarantine rows of the outcome (left empty when everyone
+  /// is present / nobody is quarantined).
+  void fill_presence(const fault::FrameFaults& faults, FrameOutcome& out) const;
 
   /// Advances the per-user ApAttachment state machines one frame and
   /// returns the number of handoffs committed. `rss_mw[a * n_users + u]`
@@ -384,6 +417,34 @@ class MulticastSession {
   /// span APs). Empty on the single-AP path — bit-identical legacy output.
   std::vector<std::uint8_t> partition_;
   std::vector<emu::RelayLink> relays_;        ///< this frame's relay plan
+
+  /// Facts one frame's stages hand to each other; rebuilt every frame and
+  /// meaningless between frames (the pointers may name caller vectors).
+  struct FrameState {
+    std::size_t n_users = 0;
+    std::uint32_t frame_id = 0;
+    /// Beacon CSI the frame acts on: the caller's, held_csi_ or sanitized_.
+    const std::vector<linalg::CVector>* decision_csi = nullptr;
+    bool csi_held = false;
+    double mcs_margin_db = 0.0;  ///< cfg margin (+ stale-CSI backoff)
+    bool reprobe = false;        ///< quarantined users rejoin this frame
+    std::size_t n_active = 0;
+    std::size_t n_included = 0;  ///< users the group optimizer sees
+    const Decision* decision = nullptr;  ///< decision_ or *frozen_
+    /// The decision's unit assignments, or shed_plan_ after a collapse.
+    const std::vector<sched::UnitAssignment>* assignments = nullptr;
+    std::size_t quarantine_entered = 0;
+    std::size_t quarantine_exited = 0;
+  };
+  FrameState frame_;
+  // Per-frame stage scratch (capacity reused across frames).
+  std::vector<linalg::CVector> sanitized_;    ///< zeroed non-finite CSI
+  std::vector<linalg::CVector> estimated_;    ///< SLS-estimated CSI
+  /// No-Update firmware-tracked beam per group (into codebook_, or the
+  /// frozen decision's own beam when no sector reaches the group).
+  std::vector<const linalg::CVector*> fallback_beams_;
+  std::vector<sched::UnitAssignment> shed_plan_;
+  emu::FrameFaultState efs_;                  ///< engine fault state
 };
 
 }  // namespace w4k::core

@@ -17,26 +17,6 @@ TxEngine::TxEngine(const EngineConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("TxEngine: zero queue capacity");
 }
 
-FrameTxResult TxEngine::run_frame(
-    const std::vector<sched::UnitSpec>& units,
-    const std::vector<sched::UnitAssignment>& assignments,
-    const std::vector<GroupTx>& groups, std::size_t n_users, Rng& rng,
-    const FrameFaultState& faults) {
-  FrameTxResult res;
-  run_frame_into(units, assignments, groups, n_users, rng, faults, res);
-  return res;
-}
-
-void TxEngine::run_frame_into(
-    const std::vector<sched::UnitSpec>& units,
-    const std::vector<sched::UnitAssignment>& assignments,
-    const std::vector<GroupTx>& groups, std::size_t n_users, Rng& rng,
-    const FrameFaultState& faults, FrameTxResult& res) {
-  static const std::vector<RelayLink> kNoRelays;
-  run_frame_into(units, assignments, groups, n_users, rng, faults, kNoRelays,
-                 res);
-}
-
 void TxEngine::run_frame_into(
     const std::vector<sched::UnitSpec>& units,
     const std::vector<sched::UnitAssignment>& assignments,

@@ -61,15 +61,6 @@ class BeamCache {
       const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
       ThreadPool* pool, SchedWorkspace& ws);
 
-  /// Allocating forwarder kept for source compatibility; builds a private
-  /// workspace per call and copies the emitted groups out.
-  [[deprecated("use enumerate_into with a SchedWorkspace; this forwarder "
-               "allocates a fresh workspace and result vector every call")]]
-  std::vector<GroupSpec> enumerate(
-      const std::vector<linalg::CVector>& channels,
-      const beamforming::Codebook& codebook, const GroupEnumConfig& cfg,
-      ThreadPool* pool = nullptr);
-
   /// Drops every cached beam and the remembered channels (session reset).
   void clear();
 

@@ -114,7 +114,7 @@ std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
                                         std::size_t n,
                                         const GroupEnumConfig& cfg);
 
-/// The candidate set decide() will consider this frame, bound-pruned and
+/// The candidate set decide_into will consider this frame, bound-pruned and
 /// ordered for the anytime loop.
 struct CandidatePlan {
   /// Bound-surviving candidate masks, ascending (the emission order).
@@ -133,8 +133,8 @@ struct CandidatePlan {
 /// Builds the candidate plan for `channels` under `cfg`: the exhaustive
 /// lattice up to the hierarchical threshold, the cluster-tree generator
 /// above it (up to 64 users; throws past that). Pure function of its
-/// arguments — no clock, no RNG — so cache-on/off and any thread count see
-/// the same plan.
+/// arguments — no clock, no RNG — so the BeamCache, the stateless path
+/// and any thread count see the same plan.
 CandidatePlan plan_candidates(beamforming::Scheme scheme,
                               const std::vector<linalg::CVector>& channels,
                               const GroupEnumConfig& cfg);
@@ -164,37 +164,12 @@ void beamform_subsets(beamforming::Scheme scheme,
                       SchedWorkspace& ws,
                       std::span<beamforming::GroupBeam> out);
 
-/// Allocating forwarder kept for source compatibility; builds a private
-/// workspace per call.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<beamforming::GroupBeam> beamform_subsets(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool);
-
 /// Deadline-aware batch driver shared by enumerate_groups and BeamCache:
 /// beamforms `masks` front to back (they must already be in beamforming
 /// priority order). The first `mandatory` entries always run; the rest run
 /// in small batches with a clock check between batches once `deadline` is
-/// set. done[i] == 0 marks a deferred subset.
-struct BatchResult {
-  std::vector<beamforming::GroupBeam> beams;
-  std::vector<std::uint8_t> done;
-  std::size_t deferred = 0;
-};
-BatchResult beamform_priority(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const std::vector<GroupMask>& masks, std::size_t mandatory,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    ThreadPool* pool);
-
-/// Workspace form of beamform_priority: results land in ws.beams /
-/// ws.done / ws.deferred (never-shrinking), and each batch is handed to
+/// set. Results land in ws.beams / ws.done / ws.deferred (never-shrinking;
+/// ws.done[i] == 0 marks a deferred subset), and each batch is handed to
 /// beamform_subsets as a subspan — no per-batch mask copies.
 void beamform_priority_into(
     beamforming::Scheme scheme,
@@ -216,7 +191,9 @@ void note_anytime(const CandidatePlan& plan, std::size_t beamformed,
                   std::size_t deferred);
 
 /// Enumerates candidate groups for the given per-user channels under
-/// `scheme`. Groups are ordered by ascending bitmask of members, which is
+/// `scheme` — the stateless reference that BeamCache::enumerate_into
+/// reproduces bit for bit (the session always enumerates through its
+/// cache). Groups are ordered by ascending bitmask of members, which is
 /// the "increasing group id" order the Eq. 4 greedy relies on. When `pool`
 /// is non-null the per-subset beamforming of the admissible subsets runs
 /// on it; results are bit-identical for any pool size (each subset is
@@ -231,26 +208,5 @@ std::span<const GroupSpec> enumerate_groups(
     const std::vector<linalg::CVector>& user_channels,
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
     const GroupEnumConfig& cfg, ThreadPool* pool, SchedWorkspace& ws);
-
-/// Allocating forwarder kept for source compatibility; builds a private
-/// workspace per call and copies the emitted groups out.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed,
-    const GroupEnumConfig& cfg = {}, ThreadPool* pool = nullptr);
-
-/// Legacy entry point: draws a beam seed from `rng` (one next() call) and
-/// delegates to the seed-based overload above, so existing callers keep
-/// their shape while still getting decoupled per-subset streams.
-[[deprecated("use the SchedWorkspace overload; this forwarder allocates a "
-             "fresh workspace and result vector every call")]]
-std::vector<GroupSpec> enumerate_groups(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels,
-    const beamforming::Codebook& codebook, Rng& rng,
-    const GroupEnumConfig& cfg = {});
 
 }  // namespace w4k::sched

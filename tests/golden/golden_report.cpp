@@ -70,7 +70,7 @@ core::SessionReport run_faulted(model::QualityModel& quality) {
   const fault::FaultInjector injector(
       fault::FaultPlan::random(/*seed=*/20240801, kFrames, kUsers), kUsers);
   return core::run_static(s, static_channels(kUsers), ctx, kFrames,
-                          injector);
+                          &injector);
 }
 
 // Two APs on opposite walls, four users, a pinned AP-outage + handoff-
@@ -110,7 +110,7 @@ core::SessionReport run_multiap(model::QualityModel& quality) {
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
   return core::run_static_multi_ap(s, channel::ap_channel_stacks(geo, users),
-                                   ctx, kFrames, injector,
+                                   ctx, kFrames, &injector,
                                    channel::ap_user_azimuths(geo, users));
 }
 
@@ -140,7 +140,7 @@ core::SessionReport run_relay(model::QualityModel& quality) {
   for (std::uint32_t f = 2; f < 20; ++f)
     plan.csi.push_back({f, /*corrupt=*/false});
   const fault::FaultInjector injector(plan, kUsers);
-  return core::run_static(s, static_channels(kUsers), ctx, kFrames, injector);
+  return core::run_static(s, static_channels(kUsers), ctx, kFrames, &injector);
 }
 
 core::SessionReport run_mobile(model::QualityModel& quality) {

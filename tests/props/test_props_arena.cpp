@@ -1,10 +1,10 @@
 // Property suite: the zero-allocation frame path is an implementation
 // detail, not a behavior change.
 //
-// The workspace-reusing surface (step_into / decide_into, one FrameOutcome
-// and one set of session workspaces reused across every frame) must produce
-// a byte-identical SessionReport to the allocating wrappers (step / decide
-// constructing fresh objects per call), for any placement, across
+// Reusing one FrameOutcome across every step_into call (the runners' shape:
+// every session workspace and outcome vector recycled) must produce a
+// byte-identical SessionReport to handing step_into a freshly constructed
+// FrameOutcome per call, for any placement, across
 // W4K_THREADS 1 and 4, and with the decide deadline off (single-batch
 // enumeration, zero clock reads) and on (batched enumeration with clock
 // checks between batches; the bound is generous so no candidate is ever
@@ -81,18 +81,20 @@ std::string run_reused(model::QualityModel& quality,
   return os.str();
 }
 
-// Allocating path: the compat wrappers construct a fresh FrameOutcome (and
-// a fresh Decision inside decide()) on every call.
+// Fresh path: a newly constructed FrameOutcome for every step_into call, so
+// no outcome vector carries capacity (or stale contents) across frames.
 std::string run_fresh(model::QualityModel& quality,
                       const std::vector<core::FrameContext>& contexts,
                       const std::vector<linalg::CVector>& channels,
                       const core::SessionConfig& cfg) {
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   core::SessionReport report;
+  const fault::FrameFaults no_faults;
   for (int f = 0; f < kFrames; ++f) {
     const core::FrameContext& ctx =
         contexts[static_cast<std::size_t>(f) % contexts.size()];
-    const core::FrameOutcome out = session.step(channels, channels, ctx);
+    core::FrameOutcome out;
+    session.step_into(channels, channels, ctx, no_faults, out);
     report.add(out);
   }
   std::ostringstream os;
@@ -102,7 +104,7 @@ std::string run_fresh(model::QualityModel& quality,
 
 TEST_F(ArenaEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
   // Each iteration runs eight full sessions (2 deadlines x 2 thread counts
-  // x 2 API styles), so scale the iteration count down by 10x from the
+  // x 2 outcome styles), so scale the iteration count down by 10x from the
   // W4K_PROP_ITERS baseline — the env knob still raises it proportionally.
   proptest::Options opts = proptest::options_from_env();
   if (!opts.has_replay_seed)
@@ -134,11 +136,11 @@ TEST_F(ArenaEquivalenceTest, ReusedAndFreshPathsByteIdentical) {
           const std::string what =
               deadline_ms > 0.0 ? " (deadline on)" : " (deadline off)";
           prop_assert(reused_1t == fresh_1t,
-                      "workspace path diverged from the allocating "
-                      "wrappers at 1 thread" + what);
+                      "reused outcome diverged from fresh outcomes at 1 "
+                      "thread" + what);
           prop_assert(reused_4t == fresh_4t,
-                      "workspace path diverged from the allocating "
-                      "wrappers at 4 threads" + what);
+                      "reused outcome diverged from fresh outcomes at 4 "
+                      "threads" + what);
           prop_assert(reused_1t == reused_4t,
                       "thread count changed the workspace-path report" +
                           what);

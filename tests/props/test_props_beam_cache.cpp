@@ -5,19 +5,14 @@
 //     rate_threshold / max_group_size / exclude combination, and the
 //     BeamCache (with any dirty pattern, serial or pooled) reproduces the
 //     stateless enumeration exactly.
-// (b) At the session level, beam_cache on/off and W4K_THREADS 1/4 produce
-//     byte-identical SessionReport JSON on a mobility trace.
-//
-// The suite deliberately drives the deprecated allocating overloads (and
-// BeamCache::enumerate): they are the compat surface whose bit-identity to
-// the SchedWorkspace path these properties pin down.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+// (b) At the session level (which always enumerates through its beam
+//     cache), W4K_THREADS 1/4 produce byte-identical SessionReport JSON on
+//     a mobility trace.
 #include "channel/mobility.h"
 #include "core/pretrained.h"
 #include "core/runner.h"
 #include "sched/beam_cache.h"
+#include "sched/workspace.h"
 #include "support/proptest.h"
 
 #include <gtest/gtest.h>
@@ -64,8 +59,8 @@ bool same_beam(const beamforming::GroupBeam& a,
   return true;
 }
 
-void expect_same_groups(const std::vector<sched::GroupSpec>& a,
-                        const std::vector<sched::GroupSpec>& b,
+void expect_same_groups(std::span<const sched::GroupSpec> a,
+                        std::span<const sched::GroupSpec> b,
                         const std::string& what) {
   prop_assert(a.size() == b.size(),
               what + ": group count " + std::to_string(a.size()) + " vs " +
@@ -85,11 +80,16 @@ TEST(PropsBeamCache, FilterKnobsNeverPerturbSurvivingBeams) {
     const auto channels = random_channels(rng, n);
     const std::uint64_t seed = rng.next();
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
-    const auto full = sched::enumerate_groups(scheme, channels,
-                                              beamforming::Codebook{}, seed);
+    // Two workspaces: each span lives until the next enumeration on its
+    // own workspace, so both sets can be compared.
+    sched::SchedWorkspace ws_full, ws_filtered;
+    const auto full =
+        sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                seed, {}, nullptr, ws_full);
     const auto cfg = random_filter(rng, n);
-    const auto filtered = sched::enumerate_groups(
-        scheme, channels, beamforming::Codebook{}, seed, cfg);
+    const auto filtered =
+        sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                seed, cfg, nullptr, ws_filtered);
     for (const auto& g : filtered) {
       const sched::GroupSpec* match = nullptr;
       for (const auto& f : full)
@@ -110,6 +110,7 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
     const std::uint64_t seed = rng.next();
     const auto scheme = beamforming::Scheme::kOptimizedMulticast;
     sched::BeamCache cache(scheme, seed);
+    sched::SchedWorkspace ws_cached;  // the session's shape: one per cache
     ThreadPool pool(3);
     auto channels = random_channels(rng, n);
     for (int step = 0; step < 4; ++step) {
@@ -123,10 +124,12 @@ TEST(PropsBeamCache, CacheBitIdenticalToStatelessUnderChurn) {
         }
       const auto cfg = random_filter(rng, n);
       ThreadPool* p = rng.chance(0.5) ? &pool : nullptr;
-      const auto cached =
-          cache.enumerate(channels, beamforming::Codebook{}, cfg, p);
-      const auto fresh = sched::enumerate_groups(
-          scheme, channels, beamforming::Codebook{}, seed, cfg);
+      const auto cached = cache.enumerate_into(
+          channels, beamforming::Codebook{}, cfg, p, ws_cached);
+      sched::SchedWorkspace ws_fresh;
+      const auto fresh =
+          sched::enumerate_groups(scheme, channels, beamforming::Codebook{},
+                                  seed, cfg, nullptr, ws_fresh);
       expect_same_groups(cached, fresh,
                          "step " + std::to_string(step));
     }
@@ -162,7 +165,7 @@ class BeamCacheSessionTest : public ::testing::Test {
     contexts_ = nullptr;
   }
 
-  static std::string run_json(bool beam_cache, std::size_t threads) {
+  static std::string run_json(std::size_t threads) {
     channel::MovingReceiverConfig mc;
     mc.n_users = 3;
     mc.moving = {true, true, false};  // two walkers, one static receiver
@@ -173,7 +176,6 @@ class BeamCacheSessionTest : public ::testing::Test {
     core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
     cfg.seed = 17;
     cfg.mcs_margin_db = 1.0;
-    cfg.beam_cache = beam_cache;
     ThreadPool::reset_shared(threads);
     core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
     const core::SessionReport report =
@@ -190,12 +192,8 @@ class BeamCacheSessionTest : public ::testing::Test {
 model::QualityModel* BeamCacheSessionTest::quality_ = nullptr;
 std::vector<core::FrameContext>* BeamCacheSessionTest::contexts_ = nullptr;
 
-TEST_F(BeamCacheSessionTest, CacheAndThreadsNeverChangeTheReport) {
-  const std::string reference = run_json(/*beam_cache=*/false, /*threads=*/1);
-  EXPECT_EQ(run_json(true, 1), reference) << "beam cache changed the report";
-  EXPECT_EQ(run_json(false, 4), reference) << "threads changed the report";
-  EXPECT_EQ(run_json(true, 4), reference)
-      << "beam cache + threads changed the report";
+TEST_F(BeamCacheSessionTest, ThreadsNeverChangeTheReport) {
+  EXPECT_EQ(run_json(4), run_json(1)) << "threads changed the report";
   ThreadPool::reset_shared(0);  // restore the W4K_THREADS/default pool
 }
 

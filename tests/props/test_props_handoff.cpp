@@ -102,7 +102,7 @@ std::string run_json(model::QualityModel& quality,
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const fault::FaultInjector injector(plan, n_users, room.geo.n_aps());
   const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, contexts, kFrames, injector, room.azimuths);
+      session, room.stacks, contexts, kFrames, &injector, room.azimuths);
   std::ostringstream os;
   report.write_json(os);
   return os.str();

@@ -65,7 +65,7 @@ class ChaosTest : public ::testing::Test {
     MulticastSession session(cfg, *quality_, beamforming::Codebook{});
     const fault::FaultInjector injector(plan, kUsers);
     return run_static(session, channels_at(3.0), *contexts_, n_frames,
-                      injector);
+                      &injector);
   }
 
   static std::string joined(const chaos::Violations& violations) {
@@ -136,7 +136,7 @@ TEST_F(ChaosTest, FaultFreePlanReproducesPlainRunBitIdentically) {
   MulticastSession faulted(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector injector(fault::FaultPlan{}, kUsers);
   const SessionReport b =
-      run_static(faulted, chans, *contexts_, kFrames, injector);
+      run_static(faulted, chans, *contexts_, kFrames, &injector);
   expect_identical(a, b);
 }
 
@@ -203,7 +203,7 @@ TEST_F(ChaosTest, PersistentOutageQuarantinesAndReleases) {
   const fault::FaultInjector injector(plan, kUsers);
   const int n_frames = 16;
   const SessionReport report =
-      run_static(session, channels_at(3.0), *contexts_, n_frames, injector);
+      run_static(session, channels_at(3.0), *contexts_, n_frames, &injector);
   check_invariants(report, n_frames);
 
   bool ever_quarantined = false;

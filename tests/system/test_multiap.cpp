@@ -97,7 +97,7 @@ TEST_F(MultiApTest, SingleApStackBitIdenticalToStepInto) {
   core::MulticastSession multi(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector no_faults(fault::FaultPlan{}, kUsers, 1);
   const std::string got = report_json(core::run_static_multi_ap(
-      multi, {channels}, *contexts_, kFrames, no_faults));
+      multi, {channels}, *contexts_, kFrames, &no_faults));
 
   EXPECT_EQ(want, got)
       << "1-AP step_multi_into diverged from the legacy step_into path";
@@ -113,8 +113,63 @@ TEST_F(MultiApTest, MismatchedStackCountThrows) {
   core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector injector(fault::FaultPlan{}, kUsers, 1);
   EXPECT_THROW(core::run_static_multi_ap(session, {room.stacks[0]},
-                                         *contexts_, 2, injector),
+                                         *contexts_, 2, &injector),
                std::invalid_argument);
+}
+
+// A malformed frame is rejected before anything moves. With handoff on and
+// every user weak on AP 0 (a total outage), a mis-sized feedback_lost mask
+// mid-run must throw — and the attachment machines (weak streaks, probes,
+// dwell) must not have advanced, so the rest of the run matches a session
+// that never saw the bad call.
+TEST_F(MultiApTest, RejectedFrameLeavesAttachmentStateUntouched) {
+  const Room room = two_ap_room(kUsers);
+  core::SessionConfig cfg = core::SessionConfig::scaled(kW, kH);
+  cfg.seed = 7;
+  cfg.handoff.n_aps = 2;
+  cfg.handoff.enabled = true;
+  cfg.handoff.min_dwell_frames = 4;
+  fault::FaultPlan plan;
+  fault::ApOutage outage;
+  outage.start_frame = 3;
+  outage.n_frames = 10;
+  outage.ap = 0;
+  outage.total = true;
+  plan.ap_outage.push_back(outage);
+  const fault::FaultInjector injector(plan, kUsers, 2);
+
+  const auto run = [&](int bad_frame) {
+    core::MulticastSession session(cfg, *quality_, beamforming::Codebook{});
+    core::SessionReport report;
+    core::FrameOutcome out;
+    for (int f = 0; f < kFrames; ++f) {
+      const auto frame = static_cast<std::uint32_t>(f);
+      const core::FrameContext& ctx = (*contexts_)[frame % contexts_->size()];
+      auto decision = room.stacks;
+      auto truth = room.stacks;
+      injector.apply_aps(frame, decision, truth, room.azimuths);
+      const fault::FrameFaults faults = injector.at(frame);
+      if (f == bad_frame) {
+        fault::FrameFaults bad = faults;
+        bad.feedback_lost.assign(kUsers + 1, 0);
+        core::FrameOutcome rejected;
+        EXPECT_THROW(
+            session.step_multi_into(decision, truth, ctx, bad, rejected),
+            std::invalid_argument);
+      }
+      session.step_multi_into(decision, truth, ctx, faults, out);
+      report.add(out);
+    }
+    return report;
+  };
+  const core::SessionReport clean = run(-1);
+  std::size_t handoffs = 0;
+  for (std::size_t f = 0; f < clean.frames(); ++f)
+    handoffs += clean.frame(f).handoffs;
+  ASSERT_GT(handoffs, 0u) << "the outage never drove a handoff";
+  // Frame 5: users are already weak (the outage reached the decision
+  // beacon at frame 4) but not yet degraded.
+  EXPECT_EQ(report_json(run(5)), report_json(clean));
 }
 
 TEST_F(MultiApTest, RelayWithoutTargetsRejectedAtValidate) {
@@ -146,7 +201,7 @@ TEST_F(MultiApTest, TotalOutageDrivesHandoffAndSticks) {
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
   const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, *contexts_, kFrames, injector, room.azimuths);
+      session, room.stacks, *contexts_, kFrames, &injector, room.azimuths);
 
   // Everyone starts on the stronger AP 0 and the outage pushes them all
   // to AP 1 exactly once; the dwell window keeps them there even after
@@ -179,7 +234,7 @@ TEST_F(MultiApTest, HandoffDisabledNeverMoves) {
   plan.ap_outage.push_back(outage);
   const fault::FaultInjector injector(plan, kUsers, 2);
   const core::SessionReport report = core::run_static_multi_ap(
-      session, room.stacks, *contexts_, kFrames, injector, room.azimuths);
+      session, room.stacks, *contexts_, kFrames, &injector, room.azimuths);
 
   for (std::size_t f = 0; f < report.frames(); ++f) {
     EXPECT_EQ(report.frame(f).handoffs, 0u) << "frame " << f;
@@ -212,7 +267,7 @@ TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
   core::MulticastSession missed(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector miss_inj(miss_plan, kUsers, 2);
   const core::SessionReport miss_report = core::run_static_multi_ap(
-      missed, room.stacks, *contexts_, kFrames, miss_inj, room.azimuths);
+      missed, room.stacks, *contexts_, kFrames, &miss_inj, room.azimuths);
   std::size_t miss_handoffs = 0;
   for (std::size_t f = 0; f < miss_report.frames(); ++f)
     miss_handoffs += miss_report.frame(f).handoffs;
@@ -225,7 +280,7 @@ TEST_F(MultiApTest, SectorOutageOnlySilencesCoveredUsers) {
   core::MulticastSession hit(cfg, *quality_, beamforming::Codebook{});
   const fault::FaultInjector hit_inj(hit_plan, kUsers, 2);
   const core::SessionReport hit_report = core::run_static_multi_ap(
-      hit, room.stacks, *contexts_, kFrames, hit_inj, room.azimuths);
+      hit, room.stacks, *contexts_, kFrames, &hit_inj, room.azimuths);
   std::size_t hit_handoffs = 0;
   for (std::size_t f = 0; f < hit_report.frames(); ++f)
     hit_handoffs += hit_report.frame(f).handoffs;
@@ -268,7 +323,7 @@ double quarantined_delivery(model::QualityModel& quality,
   core::MulticastSession session(cfg, quality, beamforming::Codebook{});
   const fault::FaultInjector injector(plan, kUsers);
   const core::SessionReport report =
-      core::run_static(session, channels, contexts, kFrames, injector);
+      core::run_static(session, channels, contexts, kFrames, &injector);
 
   double sum = 0.0;
   std::size_t n = 0;

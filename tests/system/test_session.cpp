@@ -57,6 +57,8 @@ class SessionTest : public ::testing::Test {
 model::QualityModel* SessionTest::quality_ = nullptr;
 std::vector<FrameContext>* SessionTest::contexts_ = nullptr;
 
+const fault::FrameFaults kNoFaults;
+
 TEST_F(SessionTest, TwoUsersAtThreeMetersHitPaperQuality) {
   auto session = make_session();
   const auto run = run_static(session, channels(2), *contexts_, 10);
@@ -71,7 +73,8 @@ TEST_F(SessionTest, PerUserOutputsShapedCorrectly) {
   auto session = make_session();
   const auto& ctx = contexts_->front();
   const auto chans = channels(3);
-  const FrameOutcome out = session.step(chans, chans, ctx);
+  FrameOutcome out;
+  session.step_into(chans, chans, ctx, kNoFaults, out);
   EXPECT_EQ(out.ssim.size(), 3u);
   EXPECT_EQ(out.psnr.size(), 3u);
   EXPECT_EQ(out.decoded_fraction.size(), 3u);
@@ -118,8 +121,8 @@ TEST_F(SessionTest, SourceCodingOnBeatsOff) {
 TEST_F(SessionTest, OutageRendersBlankFrame) {
   auto session = make_session();
   const auto chans = channels(1, 500.0);  // unreachable
-  const FrameOutcome out =
-      session.step(chans, chans, contexts_->front());
+  FrameOutcome out;
+  session.step_into(chans, chans, contexts_->front(), kNoFaults, out);
   EXPECT_NEAR(out.ssim[0], contexts_->front().content.blank_ssim, 1e-9);
   EXPECT_DOUBLE_EQ(out.decoded_fraction[0], 0.0);
 }
@@ -133,18 +136,18 @@ TEST_F(SessionTest, NoUpdateFreezesDecision) {
   // Decide on the good channel, then the true channel degrades: the
   // frozen decision keeps the old MCS, which the degraded channel cannot
   // sustain -> severe loss.
-  const FrameOutcome first =
-      session.step(good, good, contexts_->front());
-  const FrameOutcome degraded =
-      session.step(good, bad, contexts_->front());
+  const auto& ctx = contexts_->front();
+  FrameOutcome first, degraded;
+  session.step_into(good, good, ctx, kNoFaults, first);
+  session.step_into(good, bad, ctx, kNoFaults, degraded);
   EXPECT_LT(degraded.ssim[0], first.ssim[0] - 0.05);
 
   // An adapting session re-decides on the (now bad) CSI and does better.
   SessionConfig adapt_cfg = SessionConfig::scaled(kW, kH);
   auto adaptive = make_session(adapt_cfg);
-  adaptive.step(good, good, contexts_->front());
-  const FrameOutcome adapted =
-      adaptive.step(bad, bad, contexts_->front());
+  FrameOutcome adapted;
+  adaptive.step_into(good, good, ctx, kNoFaults, adapted);
+  adaptive.step_into(bad, bad, ctx, kNoFaults, adapted);
   EXPECT_GT(adapted.ssim[0], degraded.ssim[0]);
 }
 
@@ -178,9 +181,10 @@ TEST_F(SessionTest, UserCountChangePreservesSurvivingQuarantineState) {
     true3[1] = channel::make_channel(
         prop, channel::Position::from_polar(500.0, 0.0));  // unreachable
   }
+  const auto& ctx = contexts_->front();
   FrameOutcome out;
   for (int f = 0; f < 5; ++f)
-    out = session.step(decision3, true3, contexts_->front());
+    session.step_into(decision3, true3, ctx, kNoFaults, out);
   ASSERT_EQ(out.user_quarantined.size(), 3u);
   EXPECT_TRUE(out.user_quarantined[1]);
 
@@ -194,21 +198,45 @@ TEST_F(SessionTest, UserCountChangePreservesSurvivingQuarantineState) {
     decision4.push_back(extra);
     true4.push_back(extra);
   }
-  out = session.step(decision4, true4, contexts_->front());
+  session.step_into(decision4, true4, ctx, kNoFaults, out);
   ASSERT_EQ(out.user_quarantined.size(), 4u);
   EXPECT_TRUE(out.user_quarantined[1]) << "join reset quarantine state";
   EXPECT_FALSE(out.user_quarantined[3]);
 
   // Shrinking back keeps the surviving prefix too.
-  out = session.step(decision3, true3, contexts_->front());
+  session.step_into(decision3, true3, ctx, kNoFaults, out);
   ASSERT_EQ(out.user_quarantined.size(), 3u);
   EXPECT_TRUE(out.user_quarantined[1]) << "leave reset quarantine state";
 }
 
 TEST_F(SessionTest, MismatchedChannelVectorsThrow) {
   auto session = make_session();
-  EXPECT_THROW(session.step(channels(2), channels(3), contexts_->front()),
+  FrameOutcome out;
+  EXPECT_THROW(session.step_into(channels(2), channels(3), contexts_->front(),
+                                 kNoFaults, out),
                std::invalid_argument);
+}
+
+TEST_F(SessionTest, AssociatedUserOutOfRangeThrowsPerFrame) {
+  // The constructor cannot know the user count, so this one config check
+  // runs per frame: associated_user 2 is fine for 3 users, not for 2.
+  SessionConfig cfg = SessionConfig::scaled(kW, kH);
+  cfg.associated_user = 2;
+  auto session = make_session(cfg);
+  const auto& ctx = contexts_->front();
+  FrameOutcome out;
+  const auto two = channels(2);
+  try {
+    session.step_into(two, two, ctx, kNoFaults, out);
+    ADD_FAILURE() << "associated_user 2 accepted for 2 users";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("associated_user"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto three = channels(3);
+  session.step_into(three, three, ctx, kNoFaults, out);
+  EXPECT_EQ(out.frame_id, 0u) << "the rejected frame consumed a frame id";
 }
 
 TEST_F(SessionTest, BadRateScaleThrows) {
