@@ -147,10 +147,14 @@ void BM_MulticastBeamSvd(benchmark::State& state) {
   channel::PropagationConfig prop;
   const auto users = core::place_users_random(n_users, 8.0, 16.0, 2.09, rng);
   const auto channels = core::channels_for(prop, users);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(beamforming::group_beam(
-        beamforming::Scheme::kOptimizedMulticast, channels,
-        beamforming::Codebook{}, rng));
+  beamforming::GroupBeam beam;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    beamforming::group_beam_into(beamforming::Scheme::kOptimizedMulticast,
+                                 channels, beamforming::Codebook{}, ++seed,
+                                 beam);
+    benchmark::DoNotOptimize(beam);
+  }
 }
 BENCHMARK(BM_MulticastBeamSvd)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);

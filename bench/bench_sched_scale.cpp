@@ -15,7 +15,7 @@
 //
 // Past the hierarchical threshold (N=32/64 rows) the anytime scheduler
 // takes over: cluster-tree candidate generation, rate-bound pruning, the
-// SoA-packed batch beamformer, and (at N=64) the decide_deadline_ms
+// parallel group-beam batch, and (at N=64) the decide_deadline_ms
 // cutoff that trades optional merge candidates for latency.
 //
 // Outputs BENCH_sched.json (per-config mean/p50/p99 decide latency and the
@@ -169,7 +169,7 @@ int run_smoke() {
   spec.n_frames = 30;
   // N=32 runs the anytime scheduler end to end: the cluster-tree generator
   // (the exhaustive lattice at N=32 would be 2^32 subsets), the rate-bound
-  // pruner, the SoA batch path, and the deadline cutoff. The deadline is
+  // pruner, the group-beam batch, and the deadline cutoff. The deadline is
   // the production knob that holds the frame budget on slow or heavily
   // shared boxes; the gate then checks the whole decision still lands
   // inside half the 33.3 ms frame budget.

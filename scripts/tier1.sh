@@ -25,10 +25,11 @@
 #          and run the zero-allocation frame-path gate: after warmup the
 #          pinned static4 and mobile scenarios (step_into) and a faulted
 #          2-AP handoff+relay scenario (step_multi_into) must perform
-#          zero heap allocations per frame (DESIGN.md Sec. 4g).
+#          zero heap allocations per frame (DESIGN.md Sec. 4g), at the
+#          default pool size and at W4K_THREADS=2 and 4.
 # Stage 4: rebuild under ThreadSanitizer (W4K_SANITIZE=thread) and run the
 #          suites whose code runs on the shared ThreadPool's workers: the
-#          pool itself and the arena (foundation), the banded decoder and
+#          pool itself (foundation), the banded decoder and
 #          the banded SSIM/PSNR with its per-band block scratch (video),
 #          the metrics registry under pool contention plus a traced
 #          session (obs), and the session-level purity suites that drive
@@ -67,14 +68,18 @@ ctest --test-dir build-asan --output-on-failure -j"$jobs" -L fuzz-smoke
 ctest --test-dir build-asan --output-on-failure -L serve
 
 cmake -B build-alloc -S . -DW4K_COUNT_ALLOCS=ON
-cmake --build build-alloc -j"$jobs" \
-      --target tests_foundation tests_system tests_serve
+cmake --build build-alloc -j"$jobs" --target tests_system tests_serve
 # Run the gate suites directly (no ctest discovery pass for the side
-# build): the arena contract plus the per-frame zero-allocation gate,
-# which skip themselves everywhere except this counting build.
-./build-alloc/tests/tests_foundation --gtest_filter='FrameArena.*'
+# build): the per-frame zero-allocation gate, which skips itself
+# everywhere except this counting build. Pool workers keep per-thread
+# beam scratch, so the gate also runs at fixed pool sizes of 2 and 4,
+# not only at the host's default.
 ./build-alloc/tests/tests_system \
     --gtest_filter='AllocCount.*:AllocGateTest.*'
+for threads in 2 4; do
+  W4K_THREADS="$threads" ./build-alloc/tests/tests_system \
+      --gtest_filter='AllocGateTest.*'
+done
 # The daemon's steady-state fan-out (encode -> publish -> sendmmsg ->
 # release) must also be allocation-free per frame (DESIGN.md Sec. 4j).
 ./build-alloc/tests/tests_serve --gtest_filter='ServeAllocGate.*'

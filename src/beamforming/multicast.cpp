@@ -1,6 +1,7 @@
 #include "beamforming/multicast.h"
 
 #include "channel/array.h"
+#include "common/rng.h"
 #include "linalg/decompose.h"
 
 #include <algorithm>
@@ -8,6 +9,21 @@
 #include <stdexcept>
 
 namespace w4k::beamforming {
+
+void evaluate_beam_into(const linalg::CVector& beam,
+                        std::span<const linalg::CVector> channels,
+                        GroupBeam& g) {
+  g.beam = beam;  // copy-assign: capacity reused
+  g.member_rss.clear();
+  g.min_rss = Dbm{1e300};
+  for (const auto& h : channels) {
+    const Dbm rss = channel::beam_rss(h, beam);
+    g.member_rss.push_back(rss);
+    g.min_rss = std::min(g.min_rss, rss);
+  }
+  g.rate = channel::rate_for_rss(g.min_rss);
+}
+
 namespace {
 
 // A zeroed channel (corrupt CSI sanitized upstream, or a fully blocked
@@ -37,18 +53,27 @@ void mrt_beam_into(const linalg::CVector& h, linalg::CVector& out) {
   }
 }
 
-void evaluate_into(const linalg::CVector& beam,
-                   std::span<const linalg::CVector> channels, GroupBeam& g) {
-  g.beam = beam;  // copy-assign: capacity reused
-  g.member_rss.clear();
-  g.min_rss = Dbm{1e300};
-  for (const auto& h : channels) {
-    const Dbm rss = channel::beam_rss(h, beam);
-    g.member_rss.push_back(rss);
-    g.min_rss = std::min(g.min_rss, rss);
+/// Per-thread scratch of the optimized schemes. Pool workers run
+/// group_beam_into on whatever masks their chunks hold, so every buffer is
+/// sized to its bound on the thread's first call, whichever scheme or group
+/// size that call has: a worker that has only beamed singletons so far
+/// does not allocate when it first meets a multi-member group.
+struct BeamScratch {
+  linalg::CVector beam;               ///< MRT or uniform beam
+  std::vector<linalg::Complex> rows;  ///< normalized member rows
+  linalg::DominantSVD svd;            ///< power-iteration result + scratch
+  std::size_t cols = 0;               ///< width the buffers are sized for
+
+  /// Sizes for channels up to `n` entries: n x n rows (every short-wide
+  /// stack), an n x n Gram, n-long vectors.
+  void fit(std::size_t n) {
+    if (n <= cols) return;
+    beam.resize_zero(n);
+    rows.reserve(n * n);
+    svd.reserve(n);
+    cols = n;
   }
-  g.rate = channel::rate_for_rss(g.min_rss);
-}
+};
 
 void best_codebook_beam_into(std::span<const linalg::CVector> channels,
                              const Codebook& codebook, GroupBeam& best) {
@@ -58,25 +83,12 @@ void best_codebook_beam_into(std::span<const linalg::CVector> channels,
   best.min_rss = Dbm{-1e300};
   best.rate = Mbps{0.0};
   for (std::size_t k = 0; k < codebook.size(); ++k) {
-    evaluate_into(codebook[k], channels, cand);
+    evaluate_beam_into(codebook[k], channels, cand);
     if (cand.min_rss > best.min_rss) best = cand;
   }
 }
 
 }  // namespace
-
-void evaluate_beam_into(const linalg::CVector& beam,
-                        std::span<const linalg::CVector> member_channels,
-                        GroupBeam& out) {
-  evaluate_into(beam, member_channels, out);
-}
-
-GroupBeam evaluate_beam(const linalg::CVector& beam,
-                        const std::vector<linalg::CVector>& member_channels) {
-  GroupBeam out;
-  evaluate_into(beam, member_channels, out);
-  return out;
-}
 
 bool allows_multicast(Scheme s) {
   return s == Scheme::kOptimizedMulticast || s == Scheme::kPredefinedMulticast;
@@ -94,30 +106,31 @@ std::string to_string(Scheme s) {
 
 void group_beam_into(Scheme scheme,
                      std::span<const linalg::CVector> channels,
-                     const Codebook& codebook, Rng& rng, GroupBeam& out) {
+                     const Codebook& codebook, std::uint64_t seed,
+                     GroupBeam& out) {
   if (channels.empty())
     throw std::invalid_argument("group_beam: empty group");
   if (!allows_multicast(scheme) && channels.size() != 1)
     throw std::invalid_argument(
         "group_beam: unicast scheme with a multi-member group");
 
+  thread_local BeamScratch scratch;
+  scratch.fit(channels[0].size());
+
   switch (scheme) {
-    case Scheme::kOptimizedUnicast: {
+    case Scheme::kOptimizedUnicast:
       // MRT: F = conj(h) / ||h|| maximizes |F . h|.
-      thread_local linalg::CVector f;
-      mrt_beam_into(channels[0], f);
-      evaluate_into(f, channels, out);
+      mrt_beam_into(channels[0], scratch.beam);
+      evaluate_beam_into(scratch.beam, channels, out);
       return;
-    }
     case Scheme::kPredefinedUnicast:
     case Scheme::kPredefinedMulticast:
       best_codebook_beam_into(channels, codebook, out);
       return;
     case Scheme::kOptimizedMulticast: {
       if (channels.size() == 1) {
-        thread_local linalg::CVector f;
-        mrt_beam_into(channels[0], f);
-        evaluate_into(f, channels, out);
+        mrt_beam_into(channels[0], scratch.beam);
+        evaluate_beam_into(scratch.beam, channels, out);
         return;
       }
       // Max-sum SVD heuristic for the NP-hard max-min problem: F is the
@@ -127,65 +140,31 @@ void group_beam_into(Scheme scheme,
       // starves the weak one — the opposite of the max-min intent. On
       // direction-only rows the SVD splits power across the members'
       // subspaces, which tracks min-RSS far better while keeping the
-      // same O(N_t^2 N) cost. The rows live in a thread-local one-problem
-      // pack and the iteration runs via packed_dominant_right_singular_into
-      // — bit-identical to the historical CMatrix::from_rows path.
-      thread_local linalg::PackedStacks pack;
-      thread_local linalg::DominantSVD svd;
-      pack.rows.clear();
-      pack.offsets.clear();
-      pack.cols = 0;
+      // same O(N_t^2 N) cost. Dead (zero) members add no row.
+      std::vector<linalg::Complex>& rows = scratch.rows;
+      rows.clear();
+      std::size_t cols = 0;
       for (const auto& h : channels) {
         const double n = h.norm();
         if (n <= 0.0) continue;
-        if (pack.cols == 0) pack.cols = h.size();
-        if (h.size() != pack.cols)
-          throw std::invalid_argument("row size mismatch in set_row");
-        for (std::size_t i = 0; i < h.size(); ++i) {
-          linalg::Complex x = h[i];
-          x /= n;  // the same element-wise divide normalized() performs
-          pack.rows.push_back(x);
-        }
+        if (cols == 0) cols = h.size();
+        if (h.size() != cols)
+          throw std::invalid_argument(
+              "group_beam: member channels differ in size");
+        for (const linalg::Complex& x : h.raw()) rows.push_back(x / n);
       }
-      if (pack.rows.empty()) {
-        thread_local linalg::CVector uni;
-        uniform_beam_into(channels[0].size(), uni);
-        evaluate_into(uni, channels, out);
+      if (rows.empty()) {
+        uniform_beam_into(channels[0].size(), scratch.beam);
+        evaluate_beam_into(scratch.beam, channels, out);
         return;
       }
-      pack.offsets.push_back(0);
-      pack.offsets.push_back(pack.rows.size() / pack.cols);
-      linalg::packed_dominant_right_singular_into(pack, 0, rng, svd);
-      evaluate_into(svd.right_singular, channels, out);
+      Rng rng(seed);
+      linalg::dominant_right_singular_into(rows, cols, rng, scratch.svd);
+      evaluate_beam_into(scratch.svd.right_singular, channels, out);
       return;
     }
   }
   throw std::logic_error("group_beam: unhandled scheme");
-}
-
-void group_beam_into(Scheme scheme,
-                     std::span<const linalg::CVector> member_channels,
-                     const Codebook& codebook, std::uint64_t seed,
-                     GroupBeam& out) {
-  Rng rng(seed);
-  group_beam_into(scheme, member_channels, codebook, rng, out);
-}
-
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& channels,
-                     const Codebook& codebook, Rng& rng) {
-  GroupBeam out;
-  group_beam_into(scheme, channels, codebook, rng, out);
-  return out;
-}
-
-GroupBeam group_beam(Scheme scheme,
-                     const std::vector<linalg::CVector>& channels,
-                     const Codebook& codebook, std::uint64_t seed) {
-  Rng rng(seed);
-  GroupBeam out;
-  group_beam_into(scheme, channels, codebook, rng, out);
-  return out;
 }
 
 }  // namespace w4k::beamforming

@@ -6,134 +6,78 @@
 
 namespace w4k::linalg {
 
-DominantSVD dominant_right_singular(const CMatrix& a, Rng& rng,
-                                    int max_iters, double tol) {
-  DominantSVD out;
-  if (a.rows() == 0 || a.cols() == 0) return out;
+void DominantSVD::reserve(std::size_t cols) {
+  gram.reshape_zero(cols, cols);
+  iterate.resize_zero(cols);
+  product.resize_zero(cols);
+  right_singular.resize_zero(cols);
+  singular_value = 0.0;
+  iterations = 0;
+}
+
+void dominant_right_singular_into(std::span<const Complex> rows,
+                                  std::size_t cols, Rng& rng,
+                                  DominantSVD& out, int max_iters,
+                                  double tol) {
+  out.singular_value = 0.0;
+  out.iterations = 0;
+  const std::size_t m = cols == 0 ? 0 : rows.size() / cols;
+  if (m * cols != rows.size())
+    throw std::invalid_argument(
+        "dominant_right_singular_into: rows.size() is not a multiple of cols");
+  if (m == 0) {
+    out.right_singular.resize_zero(0);
+    return;
+  }
+  const Complex* a = rows.data();  // a(r, k) = a[r * cols + k]
 
   // Power-iterate on the *smaller* of the two Gram matrices. A^H A
-  // (cols x cols) and A A^H (rows x rows) share their nonzero spectrum,
-  // and the dominant right singular vector is recoverable from the
-  // dominant left one as v1 = A^H u1 / sigma1. The scheduler's stacked
-  // channel matrices are short and wide (<= max_group_size member rows,
-  // one column per antenna), so iterating on the row-side Gram drops the
-  // per-step cost from cols^2 to rows^2.
-  const bool row_side = a.rows() < a.cols();
-  const CMatrix ah = a.hermitian();
-  const CMatrix g = row_side ? a * ah : ah * a;
+  // (cols x cols) and A A^H (m x m) share their nonzero spectrum, and the
+  // dominant right singular vector is recoverable from the dominant left
+  // one as v1 = A^H u1 / sigma1. Group beams stack a few member rows over
+  // one column per antenna, so iterating on the row-side Gram drops the
+  // per-step cost from cols^2 to m^2.
+  const bool row_side = m < cols;
+  const std::size_t n = row_side ? m : cols;
 
-  CVector v(g.rows());
-  for (std::size_t i = 0; i < v.size(); ++i)
+  CMatrix& g = out.gram;
+  CVector& v = out.iterate;
+  CVector& w = out.product;
+
+  // The Gram, accumulated exactly as CMatrix::operator* does for
+  // a * a.hermitian() (row side) or a.hermitian() * a (column side): r
+  // outer, k ascending with the zero-skip on the left factor, c inner.
+  g.reshape_zero(n, n);
+  if (row_side) {
+    for (std::size_t r = 0; r < m; ++r)
+      for (std::size_t k = 0; k < cols; ++k) {
+        const Complex x = a[r * cols + k];
+        if (x == Complex{}) continue;
+        for (std::size_t c = 0; c < m; ++c)
+          g(r, c) += x * std::conj(a[c * cols + k]);
+      }
+  } else {
+    for (std::size_t r = 0; r < cols; ++r)
+      for (std::size_t k = 0; k < m; ++k) {
+        const Complex x = std::conj(a[k * cols + r]);
+        if (x == Complex{}) continue;
+        for (std::size_t c = 0; c < cols; ++c)
+          g(r, c) += x * a[k * cols + c];
+      }
+  }
+
+  v.resize_zero(n);
+  for (std::size_t i = 0; i < n; ++i)
     v[i] = Complex(rng.gaussian(), rng.gaussian());
   if (v.norm() == 0.0) v[0] = 1.0;
-  v = v.normalized();
+  const double n0 = v.norm();
+  for (std::size_t i = 0; i < n; ++i) v[i] /= n0;
 
   double prev_lambda = 0.0;
   bool zero_matrix = false;
   for (int it = 0; it < max_iters; ++it) {
     // One Gram matvec per iteration: w = G v feeds both the Rayleigh
     // quotient of the current iterate and the next power step.
-    const CVector w = g * v;
-    const double lambda = std::real(dot(v, w));
-    const double wn = w.norm();
-    out.iterations = it + 1;
-    if (wn == 0.0) {
-      // A is (numerically) zero: sigma = 0, any unit vector is a valid v1.
-      zero_matrix = true;
-      prev_lambda = 0.0;
-      break;
-    }
-    v = w * Complex(1.0 / wn, 0.0);
-    if (it > 0 && std::abs(lambda - prev_lambda) <=
-                      tol * std::max(1.0, std::abs(lambda))) {
-      prev_lambda = lambda;
-      break;
-    }
-    prev_lambda = lambda;
-  }
-  if (!row_side) {
-    out.right_singular = v;
-  } else {
-    // Map the left singular vector back: A^H u1 has norm sigma1; if that
-    // is zero (zero matrix) fall back to an arbitrary unit vector.
-    const CVector rv = ah * v;
-    const double rn = rv.norm();
-    if (rn > 0.0 && !zero_matrix) {
-      out.right_singular = rv * Complex(1.0 / rn, 0.0);
-    } else {
-      CVector e(a.cols());
-      e[0] = 1.0;
-      out.right_singular = e;
-    }
-  }
-  out.singular_value = std::sqrt(std::max(0.0, prev_lambda));
-  return out;
-}
-
-DominantSVD packed_dominant_right_singular(const PackedStacks& pack,
-                                           std::size_t p, Rng& rng,
-                                           int max_iters, double tol) {
-  DominantSVD out;
-  packed_dominant_right_singular_into(pack, p, rng, out, max_iters, tol);
-  return out;
-}
-
-void packed_dominant_right_singular_into(const PackedStacks& pack,
-                                         std::size_t p, Rng& rng,
-                                         DominantSVD& out,
-                                         int max_iters, double tol) {
-  out.singular_value = 0.0;
-  out.iterations = 0;
-  const std::size_t m = pack.rows_of(p);
-  const std::size_t cols = pack.cols;
-  if (m == 0 || cols == 0) {
-    out.right_singular.resize_zero(0);
-    return;
-  }
-  const Complex* base = pack.rows.data() + pack.offsets[p] * cols;
-
-  if (m >= cols) {
-    // Tall/square stack: the column-side Gram is the cheaper one and the
-    // CMatrix path already handles it; rebuild and delegate. (Allocating,
-    // but the scheduler's stacks are short-wide: group size < antennas.)
-    CMatrix a(m, cols);
-    for (std::size_t r = 0; r < m; ++r)
-      for (std::size_t c = 0; c < cols; ++c) a(r, c) = base[r * cols + c];
-    out = dominant_right_singular(a, rng, max_iters, tol);
-    return;
-  }
-
-  // Row-side Gram G = A A^H, accumulated exactly as CMatrix::operator*
-  // does for (a * a.hermitian()): r outer, k ascending with the zero-skip
-  // on a(r, k), c inner — so every G entry sums its terms in the same
-  // floating-point order as the unpacked path.
-  thread_local CMatrix g;
-  thread_local CVector v, w;
-  g.reshape_zero(m, m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const Complex* row_r = base + r * cols;
-    for (std::size_t k = 0; k < cols; ++k) {
-      const Complex a = row_r[k];
-      if (a == Complex{}) continue;
-      for (std::size_t c = 0; c < m; ++c)
-        g(r, c) += a * std::conj(base[c * cols + k]);
-    }
-  }
-
-  v.resize_zero(m);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = Complex(rng.gaussian(), rng.gaussian());
-  if (v.norm() == 0.0) v[0] = 1.0;
-  {
-    // In-place normalized(): the same element-wise x /= n as the copy
-    // version, so the iterate is bit-identical.
-    const double n0 = v.norm();
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] /= n0;
-  }
-
-  double prev_lambda = 0.0;
-  bool zero_matrix = false;
-  for (int it = 0; it < max_iters; ++it) {
     g.multiply_into(v, w);
     const double lambda = std::real(dot(v, w));
     const double wn = w.norm();
@@ -143,9 +87,8 @@ void packed_dominant_right_singular_into(const PackedStacks& pack,
       prev_lambda = 0.0;
       break;
     }
-    // v = w * Complex(1/wn, 0): same complex multiply as operator*=.
     const Complex s(1.0 / wn, 0.0);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = w[i] * s;
+    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] * s;
     if (it > 0 && std::abs(lambda - prev_lambda) <=
                       tol * std::max(1.0, std::abs(lambda))) {
       prev_lambda = lambda;
@@ -153,25 +96,32 @@ void packed_dominant_right_singular_into(const PackedStacks& pack,
     }
     prev_lambda = lambda;
   }
-
-  // Recovery rv = A^H u1: rv[k] = sum_c conj(a(c, k)) v[c], c ascending —
-  // the same term order as (a.hermitian() * v). Accumulated straight into
-  // the output vector (capacity reused) and scaled in place.
-  out.right_singular.resize_zero(cols);
-  for (std::size_t k = 0; k < cols; ++k) {
-    Complex s = 0.0;
-    for (std::size_t c = 0; c < m; ++c)
-      s += std::conj(base[c * cols + k]) * v[c];
-    out.right_singular[k] = s;
-  }
-  const double rn = out.right_singular.norm();
-  if (rn > 0.0 && !zero_matrix) {
-    out.right_singular *= Complex(1.0 / rn, 0.0);
-  } else {
-    out.right_singular.resize_zero(cols);
-    out.right_singular[0] = 1.0;
-  }
   out.singular_value = std::sqrt(std::max(0.0, prev_lambda));
+
+  CVector& rv = out.right_singular;
+  rv.resize_zero(cols);
+  if (zero_matrix) {
+    // A is (numerically) zero: sigma1 = 0 and any unit vector is a valid v1.
+    rv[0] = 1.0;
+  } else if (!row_side) {
+    for (std::size_t k = 0; k < cols; ++k) rv[k] = v[k];
+  } else {
+    // Map the left singular vector back: rv[k] = sum_c conj(a(c, k)) v[c],
+    // c ascending — the term order of a.hermitian() * v.
+    for (std::size_t k = 0; k < cols; ++k) {
+      Complex s = 0.0;
+      for (std::size_t c = 0; c < m; ++c)
+        s += std::conj(a[c * cols + k]) * v[c];
+      rv[k] = s;
+    }
+    const double rn = rv.norm();
+    if (rn > 0.0) {
+      rv *= Complex(1.0 / rn, 0.0);
+    } else {
+      rv.resize_zero(cols);
+      rv[0] = 1.0;
+    }
+  }
 }
 
 std::vector<EigenPair> hermitian_eigen(const CMatrix& h, int sweeps,

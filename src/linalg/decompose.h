@@ -3,7 +3,7 @@
 // The paper's max-sum RSS heuristic (Sec. 2.5) needs only the *dominant*
 // right singular vector of the stacked channel matrix H, which we obtain by
 // power iteration on the smaller of the two Hermitian PSD Gram matrices
-// (H H^H for the short-wide stacks the scheduler builds).
+// (H H^H for the short-wide stacks the group beamformer builds).
 // For unit tests and ablations we also expose a full Hermitian
 // eigendecomposition via the complex Jacobi method.
 #pragma once
@@ -11,67 +11,49 @@
 #include "common/rng.h"
 #include "linalg/matrix.h"
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 namespace w4k::linalg {
 
-/// Result of the dominant-singular-vector computation.
+/// Result of the dominant-singular-vector computation, plus the scratch
+/// the power iteration reuses from call to call. One DominantSVD kept per
+/// caller (and reserved to the widest stack it will see) makes
+/// dominant_right_singular_into allocation-free.
 struct DominantSVD {
   CVector right_singular;  ///< v1: first right singular vector (unit norm)
   double singular_value = 0.0;  ///< sigma1 >= 0
   int iterations = 0;           ///< power iterations actually used
+
+  CMatrix gram;     ///< scratch: the smaller Gram matrix
+  CVector iterate;  ///< scratch: the power iterate
+  CVector product;  ///< scratch: gram * iterate
+
+  /// Sizes the result and every scratch buffer to its bound for stacks up
+  /// to `cols` wide (a cols x cols Gram, cols-long vectors), so no later
+  /// call of that width or less regrows them. Clears the result.
+  void reserve(std::size_t cols);
 };
 
-/// Computes the dominant right singular vector of A (rows x cols) by power
-/// iteration on the smaller of the two Gram matrices (A^H A or A A^H; for
-/// short-wide channel stacks the row-side Gram is far cheaper, and v1 is
-/// recovered as A^H u1 / sigma1). Deterministic: the starting vector is
-/// derived from `rng`. Converges to |lambda2/lambda1|^k; `tol` bounds the
-/// relative change of the Rayleigh quotient between iterations.
-DominantSVD dominant_right_singular(const CMatrix& a, Rng& rng,
-                                    int max_iters = 500, double tol = 1e-12);
-
-/// A batch of stacked-channel SVD problems packed row-major into one
-/// contiguous buffer. Problem p owns rows [offsets[p], offsets[p+1]) —
-/// each row is `cols` complex entries — so a batch driver (the
-/// scheduler's group beamformer) can run many small Gram iterations over
-/// pre-normalized channel rows without per-problem matrix allocations or
-/// re-normalization.
-struct PackedStacks {
-  std::vector<Complex> rows;         ///< concatenated rows, row-major
-  std::vector<std::size_t> offsets;  ///< P+1 row-index prefix sums
-  std::size_t cols = 0;              ///< entries (antennas) per row
-
-  std::size_t problems() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  std::size_t rows_of(std::size_t p) const {
-    return offsets[p + 1] - offsets[p];
-  }
-};
-
-/// dominant_right_singular for problem `p` of a packed batch,
-/// bit-identical to calling the CMatrix overload on the same rows: the
-/// row-side Gram is accumulated in the exact order CMatrix::operator*
-/// uses (ascending k, zero-skip on a(r,k)), the power iteration is the
-/// same code, and the recovery matvec matches CMatrix::operator*(CVector)
-/// term for term. Stacks with rows >= cols fall back to the CMatrix path.
-DominantSVD packed_dominant_right_singular(const PackedStacks& pack,
-                                           std::size_t p, Rng& rng,
-                                           int max_iters = 500,
-                                           double tol = 1e-12);
-
-/// Allocation-free variant for the short-wide (rows < cols) case: the Gram
-/// matrix, iterates, and recovery vector live in thread-local scratch and
-/// `out.right_singular` reuses its capacity, so the per-frame beamforming
-/// path performs zero heap allocations in steady state. The rows >= cols
-/// fallback still delegates to the (allocating) CMatrix path. Values are
-/// bit-identical to packed_dominant_right_singular.
-void packed_dominant_right_singular_into(const PackedStacks& pack,
-                                         std::size_t p, Rng& rng,
-                                         DominantSVD& out,
-                                         int max_iters = 500,
-                                         double tol = 1e-12);
+/// Computes the dominant right singular vector of the row-major stack
+/// `rows` (rows.size() / cols rows of `cols` entries each) by power
+/// iteration on the smaller of the two Gram matrices: A A^H for short-wide
+/// stacks (v1 is recovered as A^H u1 / sigma1), A^H A otherwise. Either
+/// Gram is accumulated in CMatrix::operator* order, so the result is the
+/// one the matrix-product formulation gives, bit for bit. Deterministic:
+/// the starting vector is drawn from `rng`. Converges to |lambda2/lambda1|^k;
+/// `tol` bounds the relative change of the Rayleigh quotient between
+/// iterations. A zero stack yields sigma1 = 0 and v1 = e_0.
+///
+/// The Gram matrix and the iterates live in `out`'s scratch and every
+/// buffer reuses its capacity, so a reserved `out` makes the call
+/// allocation-free. Throws std::invalid_argument if rows.size() is not a
+/// multiple of `cols`.
+void dominant_right_singular_into(std::span<const Complex> rows,
+                                  std::size_t cols, Rng& rng,
+                                  DominantSVD& out, int max_iters = 500,
+                                  double tol = 1e-12);
 
 /// One eigenpair of a Hermitian matrix.
 struct EigenPair {

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -728,14 +727,7 @@ void optimize_allocation_into(const AllocProblem& p,
     phase.t = inits[s];  // copy-assign: capacity reused
     refine_inplace(p, quality, cfg, phase, &allowed);
     const int phase1_iters = phase.iters;
-#ifdef W4K_OPT_DEBUG
-    const double phase1_obj = phase.eval.objective;
-#endif
     refine_inplace(p, quality, cfg, phase, nullptr);
-#ifdef W4K_OPT_DEBUG
-    std::fprintf(stderr, "start: phase1 obj=%.5f iters=%d phase2 obj=%.5f iters=%d\n",
-                 phase1_obj, phase1_iters, phase.eval.objective, phase.iters);
-#endif
     total_iters += phase1_iters + phase.iters;
     if (!have_result || phase.eval.objective > best_eval.objective) {
       if (have_result && obs::enabled()) {

@@ -1,7 +1,6 @@
 #include "sched/groups.h"
 
 #include "channel/mcs.h"
-#include "linalg/decompose.h"
 #include "obs/metrics.h"
 #include "sched/hierarchy.h"
 #include "sched/workspace.h"
@@ -79,13 +78,15 @@ double rate_upper_bound(GroupMask mask, const std::vector<double>& cap_mw) {
 }
 
 /// Copies the mask's member channels into a never-shrinking pool and
-/// returns the live prefix as a span. Copy-assignment reuses each slot's
-/// capacity, so after warmup the gather is allocation-free.
+/// returns the live prefix as a span. The first call on a thread sizes the
+/// pool to its bound (one full-length slot per user), and copy-assignment
+/// reuses each slot's capacity, so a later, larger group never regrows it.
 std::span<const linalg::CVector> gather_members(
     const std::vector<linalg::CVector>& user_channels, GroupMask mask,
     std::vector<linalg::CVector>& gather) {
+  if (gather.size() < user_channels.size())
+    gather.assign(user_channels.begin(), user_channels.end());
   const std::size_t m = popcount(mask);
-  if (gather.size() < m) gather.resize(m);
   std::size_t k = 0;
   for (std::size_t u = 0; u < user_channels.size(); ++u)
     if (mask & (GroupMask{1} << u)) gather[k++] = user_channels[u];
@@ -93,21 +94,6 @@ std::span<const linalg::CVector> gather_members(
 }
 
 }  // namespace
-
-std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
-                                        std::size_t n,
-                                        const GroupEnumConfig& cfg) {
-  if (n == 0) throw std::invalid_argument("enumerate_groups: no users");
-  if (n > 16)
-    throw std::invalid_argument("enumerate_groups: subset enumeration "
-                                "limited to 16 users");
-  const MaskFilter filter(scheme, n, cfg);
-  std::vector<GroupMask> masks;
-  const GroupMask limit = GroupMask{1} << n;
-  for (GroupMask mask = 1; mask < limit; ++mask)
-    if (filter.admits(mask)) masks.push_back(mask);
-  return masks;
-}
 
 bool GroupSpec::contains(std::size_t user) const {
   return std::find(members.begin(), members.end(), user) != members.end();
@@ -243,108 +229,25 @@ void plan_candidates_into(beamforming::Scheme scheme,
       [](const ScoredCandidate& s) { return popcount(s.mask) == 1; }));
 }
 
-CandidatePlan plan_candidates(beamforming::Scheme scheme,
-                              const std::vector<linalg::CVector>& channels,
-                              const GroupEnumConfig& cfg) {
-  SchedWorkspace ws;
-  plan_candidates_into(scheme, channels, cfg, ws);
-  return std::move(ws.plan);
-}
-
-beamforming::GroupBeam subset_beam(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels, GroupMask mask,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed) {
-  std::vector<linalg::CVector> channels;
-  channels.reserve(popcount(mask));
-  for (std::size_t u = 0; u < user_channels.size(); ++u)
-    if (mask & (GroupMask{1} << u)) channels.push_back(user_channels[u]);
-  return beamforming::group_beam(scheme, channels, codebook,
-                                 subset_seed(beam_seed, mask));
-}
-
 void beamform_subsets(beamforming::Scheme scheme,
                       const std::vector<linalg::CVector>& user_channels,
                       std::span<const GroupMask> masks,
                       const beamforming::Codebook& codebook,
                       std::uint64_t beam_seed, ThreadPool* pool,
-                      SchedWorkspace& ws,
                       std::span<beamforming::GroupBeam> out) {
-  const std::size_t n = user_channels.size();
   if (out.size() < masks.size())
     throw std::invalid_argument("beamform_subsets: output span too small");
 
-  // SoA pack for the multi-member kOptimizedMulticast subsets: each user's
-  // channel is normalized once per call (not once per subset) and the
-  // member rows land contiguously, so the Gram iterations stream through
-  // one flat buffer. Everything else (singletons, dead groups, the other
-  // schemes) routes through group_beam_into unchanged. All pack and index
-  // buffers belong to the workspace and keep their capacity across frames.
-  linalg::PackedStacks& pack = ws.pack;
-  pack.rows.clear();
-  pack.offsets.clear();
-  pack.cols = 0;
-  ws.problem.assign(masks.size(), -1);
-  if (scheme == beamforming::Scheme::kOptimizedMulticast && !masks.empty()) {
-    const std::size_t cols = n > 0 ? user_channels[0].size() : 0;
-    if (ws.unit.size() < n) ws.unit.resize(n);  // slot pool: never shrinks
-    ws.usable.assign(n, 0);
-    for (std::size_t u = 0; u < n; ++u) {
-      if (user_channels[u].size() != cols) continue;
-      if (user_channels[u].norm() <= 0.0) continue;
-      ws.usable[u] = 1;
-      // normalized() without the temporary: copy-assign into the slot
-      // (capacity reused), then the same element-wise divide.
-      ws.unit[u] = user_channels[u];
-      const double nn = user_channels[u].norm();
-      for (std::size_t i = 0; i < ws.unit[u].size(); ++i) ws.unit[u][i] /= nn;
-    }
-    pack.cols = cols;
-    pack.offsets.push_back(0);
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      if (popcount(masks[i]) < 2 || cols == 0) continue;
-      std::size_t m_usable = 0;
-      bool mixed = false;
-      for (std::size_t u = 0; u < n; ++u) {
-        if (!(masks[i] & (GroupMask{1} << u))) continue;
-        if (user_channels[u].size() != cols &&
-            user_channels[u].norm() > 0.0)
-          mixed = true;
-        if (ws.usable[u]) ++m_usable;
-      }
-      if (mixed || m_usable == 0) continue;  // scalar fallback path
-      ws.problem[i] = static_cast<std::ptrdiff_t>(pack.problems());
-      for (std::size_t u = 0; u < n; ++u)
-        if ((masks[i] & (GroupMask{1} << u)) && ws.usable[u])
-          pack.rows.insert(pack.rows.end(), ws.unit[u].raw().begin(),
-                           ws.unit[u].raw().end());
-      pack.offsets.push_back(pack.rows.size() / cols);
-    }
-  }
-
   const auto compute = [&](std::size_t lo, std::size_t hi) {
-    // Per-worker scratch, declared *inside* the worker-executed body so
+    // Per-worker gather pool, declared *inside* the worker-executed body so
     // each pool thread owns its own instance (thread_local variables are
-    // not captured by lambdas; declaring them outside and touching them
-    // here would dereference the worker's empty copy).
+    // not captured by lambdas; declaring one outside and touching it here
+    // would dereference the worker's empty copy).
     thread_local std::vector<linalg::CVector> gather_tls;
-    thread_local linalg::DominantSVD svd_tls;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (ws.problem[i] >= 0) {
-        Rng rng(subset_seed(beam_seed, masks[i]));
-        linalg::packed_dominant_right_singular_into(
-            pack, static_cast<std::size_t>(ws.problem[i]), rng, svd_tls);
-        const auto members =
-            gather_members(user_channels, masks[i], gather_tls);
-        beamforming::evaluate_beam_into(svd_tls.right_singular, members,
-                                        out[i]);
-      } else {
-        const auto members =
-            gather_members(user_channels, masks[i], gather_tls);
-        beamforming::group_beam_into(scheme, members, codebook,
-                                     subset_seed(beam_seed, masks[i]),
-                                     out[i]);
-      }
+      const auto members = gather_members(user_channels, masks[i], gather_tls);
+      beamforming::group_beam_into(scheme, members, codebook,
+                                   subset_seed(beam_seed, masks[i]), out[i]);
     }
   };
   if (pool != nullptr && pool->size() > 1 && masks.size() > 1) {
@@ -373,7 +276,7 @@ void beamform_priority_into(
 
   const auto run = [&](std::size_t lo, std::size_t hi) {
     beamform_subsets(scheme, user_channels, masks.subspan(lo, hi - lo),
-                     codebook, beam_seed, pool, ws,
+                     codebook, beam_seed, pool,
                      std::span<beamforming::GroupBeam>(ws.beams.data() + lo,
                                                        hi - lo));
     for (std::size_t i = lo; i < hi; ++i) ws.done[i] = 1;

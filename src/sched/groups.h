@@ -24,8 +24,7 @@
 // generator shared across subsets. Changing the filter knobs
 // (rate_threshold / max_group_size / exclude) therefore cannot perturb the
 // beams of unrelated surviving subsets, and per-subset caching
-// (sched::BeamCache), ThreadPool-parallel enumeration, and the SoA-packed
-// batch path (linalg::packed_dominant_right_singular) are bit-identical
+// (sched::BeamCache) and ThreadPool-parallel enumeration are bit-identical
 // to the serial full enumeration.
 #pragma once
 
@@ -106,14 +105,6 @@ struct GroupEnumConfig {
 /// is enumerated in the same pass.
 std::uint64_t subset_seed(std::uint64_t beam_seed, GroupMask mask);
 
-/// The member bitmasks of the *exhaustive* lattice for `n` users under
-/// `cfg`, ascending. This is the paper's full enumeration; the anytime
-/// path only consults it below the hierarchical threshold. Throws
-/// std::invalid_argument for n == 0 or n > 16.
-std::vector<GroupMask> admissible_masks(beamforming::Scheme scheme,
-                                        std::size_t n,
-                                        const GroupEnumConfig& cfg);
-
 /// The candidate set decide_into will consider this frame, bound-pruned and
 /// ordered for the anytime loop.
 struct CandidatePlan {
@@ -130,38 +121,18 @@ struct CandidatePlan {
   std::size_t capped = 0;     ///< dropped by the max_candidates budget
 };
 
-/// Builds the candidate plan for `channels` under `cfg`: the exhaustive
-/// lattice up to the hierarchical threshold, the cluster-tree generator
-/// above it (up to 64 users; throws past that). Pure function of its
-/// arguments — no clock, no RNG — so the BeamCache, the stateless path
-/// and any thread count see the same plan.
-CandidatePlan plan_candidates(beamforming::Scheme scheme,
-                              const std::vector<linalg::CVector>& channels,
-                              const GroupEnumConfig& cfg);
-
-/// The beam for one member subset (bits of `mask` index into
-/// `user_channels`). Pure function of its arguments; the building block
-/// shared by enumerate_groups and sched::BeamCache.
-beamforming::GroupBeam subset_beam(
-    beamforming::Scheme scheme,
-    const std::vector<linalg::CVector>& user_channels, GroupMask mask,
-    const beamforming::Codebook& codebook, std::uint64_t beam_seed);
-
-/// Beamforms every mask in `masks` (optionally on `pool`). Multi-member
-/// kOptimizedMulticast subsets run their Gram power iterations against one
-/// SoA-packed block of pre-normalized channel rows — each user is
-/// normalized once instead of once per subset, and the pack is dispatched
-/// as a single ThreadPool batch. Bit-identical to subset_beam per mask
-/// (asserted by the system tests). The pack, the per-user normalized rows,
-/// and all index scratch live in `ws` and keep their capacity across
-/// frames; results are written into `out` (out.size() >= masks.size()),
-/// whose GroupBeams likewise reuse their buffers.
+/// Beamforms every mask in `masks` (optionally on `pool`): each mask's
+/// member channels (bits index into `user_channels`) are gathered and
+/// handed to beamforming::group_beam_into with subset_seed(beam_seed,
+/// mask), so every beam is a pure function of its own subset. Results are
+/// written into `out` (out.size() >= masks.size()), whose GroupBeams reuse
+/// their buffers; the per-thread gather pool is sized to the user count on
+/// first use, so the call is allocation-free in steady state.
 void beamform_subsets(beamforming::Scheme scheme,
                       const std::vector<linalg::CVector>& user_channels,
                       std::span<const GroupMask> masks,
                       const beamforming::Codebook& codebook,
                       std::uint64_t beam_seed, ThreadPool* pool,
-                      SchedWorkspace& ws,
                       std::span<beamforming::GroupBeam> out);
 
 /// Deadline-aware batch driver shared by enumerate_groups and BeamCache:
@@ -179,8 +150,12 @@ void beamform_priority_into(
     const beamforming::Codebook& codebook, std::uint64_t beam_seed,
     ThreadPool* pool, SchedWorkspace& ws);
 
-/// plan_candidates into ws.plan, reusing its vectors and the workspace's
-/// pruning scratch. Same values as plan_candidates for the same inputs.
+/// Builds the candidate plan for `channels` under `cfg` into ws.plan,
+/// reusing its vectors and the workspace's pruning scratch: the exhaustive
+/// lattice up to the hierarchical threshold, the cluster-tree generator
+/// above it (up to 64 users; throws past that). Pure function of its
+/// arguments — no clock, no RNG — so the BeamCache, the stateless path
+/// and any thread count see the same plan.
 void plan_candidates_into(beamforming::Scheme scheme,
                           const std::vector<linalg::CVector>& channels,
                           const GroupEnumConfig& cfg, SchedWorkspace& ws);

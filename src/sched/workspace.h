@@ -1,9 +1,9 @@
 // Per-session scheduler workspace (DESIGN.md Sec. 4g).
 //
 // Every buffer the per-frame enumeration path touches lives here and only
-// ever grows: candidate plans, the SoA channel pack fed to the batched
-// Gram iteration, beam/done scratch for the deadline batcher, and the
-// GroupSpec output pool that enumerate_groups_into returns a span over.
+// ever grows: candidate plans and their pruning scratch, beam/done scratch
+// for the deadline batcher, and the GroupSpec output pool that
+// enumerate_groups returns a span over.
 // After a few warmup frames every vector has reached its steady-state
 // capacity and the whole enumerate -> beamform -> emit pipeline performs
 // zero heap allocations (asserted by the W4K_COUNT_ALLOCS tier-1 gate).
@@ -15,7 +15,6 @@
 // invalidated by the next call that takes the same workspace.
 #pragma once
 
-#include "linalg/decompose.h"
 #include "sched/groups.h"
 
 #include <cstddef>
@@ -38,13 +37,6 @@ struct SchedWorkspace {
   std::vector<double> cap_mw;          ///< per-user ||h_u||^2 bound input
   std::vector<ScoredCandidate> scored; ///< bound-pruning survivors
   std::vector<std::uint8_t> active;    ///< hierarchical generator's mask
-
-  // --- beamform_subsets_into --------------------------------------------
-  linalg::PackedStacks pack;           ///< SoA rows for the Gram batch
-  std::vector<std::ptrdiff_t> problem; ///< mask index -> pack problem (-1)
-  std::vector<linalg::CVector> unit;   ///< per-user normalized channels;
-                                       ///< never shrunk (inner capacity)
-  std::vector<std::uint8_t> usable;    ///< unit[u] valid this call
 
   // --- beamform_priority_into -------------------------------------------
   std::vector<GroupMask> ordered;      ///< masks in beamforming order

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <vector>
 
 namespace w4k::linalg {
 namespace {
@@ -104,6 +106,37 @@ TEST(CMatrix, FrobeniusNorm) {
 
 // --- Decompositions ---------------------------------------------------------
 
+/// dominant_right_singular_into over a copy of `a`'s rows (row-major).
+DominantSVD svd_of(const CMatrix& a, Rng& rng) {
+  std::vector<Complex> rows;
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c) rows.push_back(a(r, c));
+  DominantSVD out;
+  dominant_right_singular_into(rows, a.cols(), rng, out);
+  return out;
+}
+
+CMatrix gaussian_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  CMatrix a(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      a(r, c) = Complex(rng.gaussian(), rng.gaussian());
+  return a;
+}
+
+/// No random unit vector may beat v1's response ||A v1|| = sigma1.
+void expect_maximizes_response(const CMatrix& a, const DominantSVD& svd,
+                               Rng& rng) {
+  const double best = (a * svd.right_singular).norm();
+  EXPECT_NEAR(best, svd.singular_value, 1e-6 * svd.singular_value);
+  for (int trial = 0; trial < 200; ++trial) {
+    CVector v(a.cols());
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = Complex(rng.gaussian(), rng.gaussian());
+    EXPECT_LE((a * v.normalized()).norm(), best + 1e-6);
+  }
+}
+
 TEST(DominantSVD, RankOneMatrixRecovered) {
   // A = sigma * u v^H: the dominant right singular vector is v.
   CVector v{{0.6, 0.0}, {0.0, 0.8}};
@@ -111,32 +144,60 @@ TEST(DominantSVD, RankOneMatrixRecovered) {
   a(0, 0) = std::conj(v[0]) * 5.0;
   a(0, 1) = std::conj(v[1]) * 5.0;
   Rng rng(1);
-  const auto svd = dominant_right_singular(a, rng);
+  const auto svd = svd_of(a, rng);
   EXPECT_NEAR(svd.singular_value, 5.0, 1e-9);
   // Alignment up to a global phase.
   EXPECT_NEAR(std::abs(dot(svd.right_singular, v)), 1.0, 1e-9);
 }
 
 TEST(DominantSVD, MaximizesResponseOverRandomVectors) {
+  // Short-wide stack (rows < cols): the row-side Gram path.
   Rng rng(2);
-  CMatrix a(3, 4);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      a(r, c) = Complex(rng.gaussian(), rng.gaussian());
-  const auto svd = dominant_right_singular(a, rng);
-  const double best = (a * svd.right_singular).norm();
-  for (int trial = 0; trial < 200; ++trial) {
-    CVector v(4);
-    for (std::size_t i = 0; i < 4; ++i)
-      v[i] = Complex(rng.gaussian(), rng.gaussian());
-    EXPECT_LE((a * v.normalized()).norm(), best + 1e-6);
+  const CMatrix a = gaussian_matrix(3, 4, rng);
+  expect_maximizes_response(a, svd_of(a, rng), rng);
+}
+
+TEST(DominantSVD, TallStackMaximizesResponseOverRandomVectors) {
+  // Tall stack (rows > cols): the column-side Gram path. sigma1^2 is the
+  // top eigenvalue of A^H A.
+  Rng rng(5);
+  const CMatrix a = gaussian_matrix(6, 3, rng);
+  const auto svd = svd_of(a, rng);
+  EXPECT_EQ(svd.right_singular.size(), 3u);
+  EXPECT_NEAR(svd.right_singular.norm(), 1.0, 1e-12);
+  const auto eig = hermitian_eigen(a.hermitian() * a);
+  EXPECT_NEAR(svd.singular_value * svd.singular_value, eig[0].value, 1e-8);
+  expect_maximizes_response(a, svd, rng);
+}
+
+TEST(DominantSVD, ScratchReuseAcrossShapesIsInvisible) {
+  // One reserved DominantSVD reused across stacks of both shapes gives
+  // the results of a fresh one per call, bit for bit.
+  Rng gen(6);
+  const CMatrix wide = gaussian_matrix(2, 8, gen);
+  const CMatrix tall = gaussian_matrix(8, 2, gen);
+  DominantSVD reused;
+  reused.reserve(8);
+  for (const CMatrix* a : {&wide, &tall, &wide}) {
+    Rng r1(7);
+    const auto fresh = svd_of(*a, r1);
+    std::vector<Complex> rows;
+    for (std::size_t r = 0; r < a->rows(); ++r)
+      for (std::size_t c = 0; c < a->cols(); ++c) rows.push_back((*a)(r, c));
+    Rng r2(7);
+    dominant_right_singular_into(rows, a->cols(), r2, reused);
+    EXPECT_EQ(fresh.singular_value, reused.singular_value);
+    EXPECT_EQ(fresh.iterations, reused.iterations);
+    ASSERT_EQ(fresh.right_singular.size(), reused.right_singular.size());
+    for (std::size_t i = 0; i < fresh.right_singular.size(); ++i)
+      EXPECT_EQ(fresh.right_singular[i], reused.right_singular[i]);
   }
 }
 
 TEST(DominantSVD, ZeroMatrix) {
   CMatrix a(2, 2);
   Rng rng(3);
-  const auto svd = dominant_right_singular(a, rng);
+  const auto svd = svd_of(a, rng);
   EXPECT_DOUBLE_EQ(svd.singular_value, 0.0);
   EXPECT_NEAR(svd.right_singular.norm(), 1.0, 1e-12);
 }
@@ -144,8 +205,16 @@ TEST(DominantSVD, ZeroMatrix) {
 TEST(DominantSVD, EmptyMatrix) {
   CMatrix a;
   Rng rng(4);
-  const auto svd = dominant_right_singular(a, rng);
+  const auto svd = svd_of(a, rng);
   EXPECT_EQ(svd.right_singular.size(), 0u);
+}
+
+TEST(DominantSVD, RaggedStackThrows) {
+  const std::vector<Complex> rows(5, Complex(1.0, 0.0));
+  Rng rng(9);
+  DominantSVD out;
+  EXPECT_THROW(dominant_right_singular_into(rows, 2, rng, out),
+               std::invalid_argument);
 }
 
 TEST(HermitianEigen, DiagonalMatrix) {

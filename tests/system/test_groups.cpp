@@ -246,9 +246,11 @@ TEST(SubsetSeed, MixesMaskAndSeed) {
 }
 
 TEST(BeamformSubsets, BatchedPathBitIdenticalToSubsetBeam) {
-  // The SoA-packed batch path (pre-normalized rows + packed Gram power
-  // iteration) must reproduce subset_beam bit for bit on every mask shape:
-  // singletons, merges, and groups containing a dead (zero) channel.
+  // beamform_subsets must give every mask exactly the beam of
+  // group_beam_into on that subset's member channels under
+  // subset_seed(beam_seed, mask) — on every mask shape (singletons,
+  // merges, groups containing a dead (zero) channel) and whether the
+  // masks run serially or spread over a 4-thread pool.
   auto users = make_users(6);
   // Zero out user 4's channel to exercise the dead-member path.
   users[4] = linalg::CVector(users[4].size());
@@ -256,16 +258,27 @@ TEST(BeamformSubsets, BatchedPathBitIdenticalToSubsetBeam) {
   std::vector<GroupMask> masks;
   for (GroupMask mask = 1; mask < (GroupMask{1} << users.size()); ++mask)
     masks.push_back(mask);
-  SchedWorkspace ws;
-  std::vector<beamforming::GroupBeam> batched(masks.size());
-  beamform_subsets(beamforming::Scheme::kOptimizedMulticast, users, masks,
-                   beamforming::Codebook{}, seed, nullptr, ws, batched);
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    const auto direct =
-        subset_beam(beamforming::Scheme::kOptimizedMulticast, users,
-                    masks[i], beamforming::Codebook{}, seed);
-    EXPECT_TRUE(same_beam(batched[i], direct))
-        << "batched beam differs for mask " << masks[i];
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<beamforming::GroupBeam> batched(masks.size());
+    beamform_subsets(kMulticast, users, masks, beamforming::Codebook{}, seed,
+                     p, batched);
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      std::vector<linalg::CVector> members;
+      for (std::size_t u = 0; u < users.size(); ++u)
+        if (masks[i] & (GroupMask{1} << u)) members.push_back(users[u]);
+      beamforming::GroupBeam direct;
+      beamforming::group_beam_into(kMulticast, members,
+                                   beamforming::Codebook{},
+                                   subset_seed(seed, masks[i]), direct);
+      EXPECT_TRUE(same_beam(batched[i], direct))
+          << "batched beam differs for mask " << masks[i]
+          << (p ? " on the pool" : " serially");
+      ASSERT_EQ(batched[i].member_rss.size(), direct.member_rss.size());
+      for (std::size_t k = 0; k < direct.member_rss.size(); ++k)
+        EXPECT_EQ(batched[i].member_rss[k].value,
+                  direct.member_rss[k].value);
+    }
   }
 }
 
@@ -278,9 +291,9 @@ TEST(PlanCandidates, BoundPruningIsExactOnTheExhaustivePath) {
       prop, channel::Position::from_polar(400.0, 0.2)));  // unreachable
   GroupEnumConfig cfg;
   cfg.rate_threshold = Mbps{700.0};
-  const auto plan = plan_candidates(
-      beamforming::Scheme::kOptimizedMulticast, users, cfg);
-  EXPECT_GT(plan.pruned, 0u);  // the far user's subsets never beamform
+  SchedWorkspace ws;
+  plan_candidates_into(kMulticast, users, cfg, ws);
+  EXPECT_GT(ws.plan.pruned, 0u);  // the far user's subsets never beamform
   const auto groups = enumerate(kMulticast, users, 5, cfg);
   for (const auto& g : groups) {
     EXPECT_FALSE(g.contains(4));
